@@ -17,7 +17,7 @@ Subcommands
 Every run validates its configuration up front, writes deterministic
 CSV/text outputs into the output directory, and records a manifest with
 the configuration hash.  Exit codes: 0 success, 2 configuration or
-parameter error, 3 numeric non-convergence or fit failure, 4 I/O error.
+parameter error, 3 a fit failed to converge, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .fitting import (
 from .instrument import range_grid
 from .fwm import conversion_sweep
 from .jsd import jsa, ridge_fit, schmidt, simulate_jsd_scan
-from .laser import ConvergenceError, output_power_curve, steady_state_roundtrip
+from .laser import output_power_curve, steady_state_roundtrip
 from .ring import drop_spectrum, linewidth_ghz, through_spectrum
 
 
@@ -56,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, FitConvergenceError) as exc:
+    except FitConvergenceError as exc:
         print(f"numeric non-convergence: {exc}", file=sys.stderr)
         return 3
     except CsvParseError as exc:

@@ -17,6 +17,9 @@ solved here by Newton iteration.  In steady state the loop clamps the
 saturated gain to the inverse loop transmission, which makes the
 self-consistent circulating power linear in the small-signal gain and
 hence linear in the drive current — the familiar threshold characteristic.
+With an intensity-dependent (two-photon) ring loss the clamp moves with
+the power, and the steady state becomes the root of one monotone scalar
+equation in the amplifier output power, bracketed and bisected.
 """
 
 from __future__ import annotations
@@ -30,28 +33,9 @@ import numpy as np
 #: Conversion between decibels and (power) nepers: dB = 10*log10(e) * np.
 DB_PER_NEPER = 10.0 / math.log(10.0)
 
-#: Circulating powers below this floor (in mW) are treated as extinguished.
-_POWER_FLOOR_MW = 1e-12
-
-_MAX_FIXED_POINT_ITERATIONS = 100_000
-
 
 class NoLasingError(ValueError):
     """Raised when the gain cap cannot overcome the loop loss at any current."""
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the round-trip fixed point fails to converge.
-
-    Attributes
-    ----------
-    last_power_mw : float
-        The final iterate, reported for diagnostics.
-    """
-
-    def __init__(self, message: str, last_power_mw: float):
-        super().__init__(message)
-        self.last_power_mw = last_power_mw
 
 
 @dataclass(frozen=True)
@@ -235,11 +219,6 @@ class LaserOperatingPoint:
     above_threshold: bool
 
 
-def total_loop_loss_db(budget: LossBudget) -> float:
-    """Total of the component ledger in dB (ring insertion reported apart)."""
-    return budget.total_db
-
-
 def saturated_single_pass_gain(
     gain: GainModel, current_ma: float, input_power_mw: float
 ) -> float:
@@ -305,14 +284,27 @@ def threshold_current_ma(gain: GainModel, budget: LossBudget) -> float:
     return loop_db / gain.db_per_ma
 
 
-def _loop_transmissions(budget: LossBudget, extra_ring_db: float = 0.0):
-    """Linear transmissions derived from the ledger, with optional extra ring loss."""
-    loop = 10.0 ** (-(budget.loop_db + extra_ring_db) / 10.0)
+def _port_transmissions(budget: LossBudget, extra_ring_db: float = 0.0):
+    """Amplifier-to-drop and amplifier-to-tap transmissions, with extra ring loss."""
     to_drop = 10.0 ** (
         -(budget.amplifier_to_ring_db + budget.ring_insertion_db + extra_ring_db) / 10.0
     )
     to_tap = 10.0 ** (-(budget.amplifier_to_tap_db + extra_ring_db) / 10.0)
-    return loop, to_drop, to_tap
+    return to_drop, to_tap
+
+
+def _clamped_power_mw(gain: GainModel, budget: LossBudget, g0_db):
+    """Amplifier output power with the saturated gain clamped at the loop loss."""
+    if budget.loop_db == 0.0:
+        raise ValueError(
+            "the loop loss is 0 dB, so without two-photon absorption the "
+            "lasing power has no finite steady state"
+        )
+    # Work the gain excess in dB so a calibration point sitting exactly
+    # at threshold yields exactly zero.
+    excess_np = np.clip(g0_db - budget.loop_db, 0.0, None) / DB_PER_NEPER
+    g_threshold = math.exp(budget.loop_db / DB_PER_NEPER)
+    return gain.saturation_power_mw * excess_np * g_threshold / (g_threshold - 1.0)
 
 
 def output_power_curve(gain: GainModel, budget: LossBudget, current_ma):
@@ -324,9 +316,10 @@ def output_power_curve(gain: GainModel, budget: LossBudget, current_ma):
 
         P_amp_out = P_sat * (g0 - g_th) * G_th / (G_th - 1)
 
-    which is zero exactly at threshold.  The returned tap power is 1% of
-    the power arriving at the 99:1 splitter; the drop-port power is the
-    power exiting the ring.
+    which is zero exactly at threshold and has no finite value for a
+    0 dB loop loss, rejected with ``ValueError``.  The returned tap power
+    is 1% of the power arriving at the 99:1 splitter; the drop-port power
+    is the power exiting the ring.
 
     Parameters
     ----------
@@ -345,15 +338,9 @@ def output_power_curve(gain: GainModel, budget: LossBudget, current_ma):
     current_ma = np.asarray(current_ma, dtype=float)
     if np.any(current_ma < 0.0):
         raise ValueError("current_ma must be >= 0")
-    # Work the gain excess in dB so a calibration point sitting exactly
-    # at threshold yields exactly zero.
     g0_db = np.minimum(gain.db_per_ma * current_ma, gain.max_small_signal_gain_db)
-    excess_np = np.clip(g0_db - budget.loop_db, 0.0, None) / DB_PER_NEPER
-    g_threshold = math.exp(budget.loop_db / DB_PER_NEPER)
-    _, to_drop, to_tap = _loop_transmissions(budget)
-    amp_out = (
-        gain.saturation_power_mw * excess_np * g_threshold / (g_threshold - 1.0)
-    )
+    amp_out = _clamped_power_mw(gain, budget, g0_db)
+    to_drop, to_tap = _port_transmissions(budget)
     drop = amp_out * to_drop
     tap = amp_out * to_tap * 0.01
     return drop, tap
@@ -363,15 +350,22 @@ def steady_state_roundtrip(
     gain: GainModel,
     budget: LossBudget,
     current_ma: float,
-    seed_power_mw: float = 1e-3,
     tpa_db_per_mw: float = 0.0,
 ) -> LaserOperatingPoint:
-    """Iterate the loop map to its self-consistent circulating power.
+    """Self-consistent loop state, solved as one scalar root.
 
-    The map propagates the amplifier input power once around the loop,
-    ``P <- P * G_sat(P) * T_loop``, until the relative change falls below
-    1e-9.  Below threshold the power decays geometrically and is declared
-    extinguished once it falls under an absolute floor.
+    The loop clamps the saturated gain to the inverse loop transmission,
+    ``ln(G) = g_th + t*X``, where ``X`` is the amplifier output power and
+    ``t*X`` the two-photon loss.  With ``P_in = X / G`` the amplifier law
+    then leaves one strictly increasing equation in ``X``,
+
+        f(X) = g_th + t*X + (X / P_sat) * (1 - exp(-(g_th + t*X))) - g0 = 0,
+
+    with ``f(0) = g_th - g0``: no power at or below threshold (decided
+    in dB, as in :func:`output_power_curve`) and one root above it.
+    Without two-photon absorption the root is the closed form; with it
+    the root is bisected to float resolution below
+    ``(g0 - g_th) / (t + (1 - exp(-g_th)) / P_sat)``.
 
     Parameters
     ----------
@@ -381,8 +375,6 @@ def steady_state_roundtrip(
         Loop loss ledger.
     current_ma : float
         Drive current in mA.
-    seed_power_mw : float
-        Strictly positive starting power at the amplifier input.
     tpa_db_per_mw : float
         Extra ring insertion loss per mW of circulating power (measured
         at the amplifier output), modeling two-photon absorption.  Zero
@@ -391,101 +383,48 @@ def steady_state_roundtrip(
     Returns
     -------
     LaserOperatingPoint
-        Converged state with powers at the amplifier output, the ring
-        drop port and the 1% monitor tap.
+        Steady state with powers at the amplifier output, the ring drop
+        port and the 1% monitor tap.
 
     Raises
     ------
-    ConvergenceError
-        If the iteration exhausts its budget without settling.  The
-        contraction rate approaches one within a few microamps above
-        threshold, so currents in that sliver may legitimately fail;
-        strictly below threshold the map is provably contracting toward
-        zero, and exhaustion returns the extinguished state instead.
+    ValueError
+        If ``tpa_db_per_mw`` is negative, or if the loop loss is 0 dB
+        with no two-photon absorption to bound the power.
     """
-    if seed_power_mw <= 0.0:
-        raise ValueError(f"seed_power_mw must be positive, got {seed_power_mw}")
     if tpa_db_per_mw < 0.0:
         raise ValueError(f"tpa_db_per_mw must be >= 0, got {tpa_db_per_mw}")
 
     g0_db = gain.small_signal_gain_db(current_ma)
-    g0 = g0_db / DB_PER_NEPER
-    power = seed_power_mw
-    saturated = math.exp(g0)
-
-    if abs(g0_db - budget.loop_db) <= 1e-9:
-        # Exactly at threshold (to working precision) the circulating
-        # power vanishes; skip the critically slowed iteration.
-        power = 0.0
+    if tpa_db_per_mw == 0.0:
+        amp_out = float(_clamped_power_mw(gain, budget, g0_db))
     else:
-        for _ in range(_MAX_FIXED_POINT_ITERATIONS):
-            saturated = saturated_single_pass_gain(gain, current_ma, power)
-            amp_out = power * saturated
-            extra_db = tpa_db_per_mw * amp_out
-            loop_t, _, _ = _loop_transmissions(budget, extra_db)
-            power_next = amp_out * loop_t
-            if power_next < _POWER_FLOOR_MW:
-                power = 0.0
+        excess = max(g0_db - budget.loop_db, 0.0) / DB_PER_NEPER
+        g_th = budget.loop_db / DB_PER_NEPER
+        t = tpa_db_per_mw / DB_PER_NEPER
+        psat = gain.saturation_power_mw
+        low, high = 0.0, excess / (t - math.expm1(-g_th) / psat)
+        while True:
+            middle = 0.5 * (low + high)
+            if not low < middle < high:
                 break
-            if abs(power_next - power) <= 1e-9 * power:
-                power = power_next
-                break
-            power = power_next
-        else:
-            if g0_db < budget.loop_db:
-                # Below threshold every round trip shrinks the power by
-                # at least the constant factor exp(g0)*T_loop < 1, so
-                # the limit is exactly zero even if the decay is slow.
-                power = 0.0
+            loss = g_th + t * middle
+            if t * middle - middle * math.expm1(-loss) / psat < excess:
+                low = middle
             else:
-                raise ConvergenceError(
-                    f"round-trip power did not converge at {current_ma} mA",
-                    last_power_mw=power,
-                )
+                high = middle
+        amp_out = high
 
-    if power == 0.0:
-        amp_out = 0.0
-        drop = 0.0
-        tap = 0.0
-        saturated = math.exp(g0)
-    else:
-        saturated = saturated_single_pass_gain(gain, current_ma, power)
-        amp_out = power * saturated
-        extra_db = tpa_db_per_mw * amp_out
-        _, to_drop, to_tap = _loop_transmissions(budget, extra_db)
-        drop = amp_out * to_drop
-        tap = amp_out * to_tap * 0.01
-
-    g_th = (budget.loop_db + tpa_db_per_mw * amp_out) / DB_PER_NEPER
+    extra_db = tpa_db_per_mw * amp_out
+    to_drop, to_tap = _port_transmissions(budget, extra_db)
     return LaserOperatingPoint(
         current_ma=current_ma,
-        small_signal_gain_db=g0 * DB_PER_NEPER,
-        saturated_gain_db=math.log(saturated) * DB_PER_NEPER,
+        small_signal_gain_db=g0_db,
+        saturated_gain_db=budget.loop_db + extra_db if amp_out > 0.0 else g0_db,
         circulating_power_mw=amp_out,
-        drop_port_power_mw=drop,
-        tap_power_mw=tap,
-        above_threshold=g0 >= g_th,
-    )
-
-
-def tpa_rollover(
-    gain: GainModel,
-    budget: LossBudget,
-    current_ma: float,
-    tpa_db_per_mw: float,
-    seed_power_mw: float = 1e-3,
-) -> LaserOperatingPoint:
-    """Self-consistent state with two-photon absorption in the ring.
-
-    The ring insertion loss grows linearly with the circulating power,
-    pulling the characteristic below the closed-form line at high drive.
-    """
-    return steady_state_roundtrip(
-        gain,
-        budget,
-        current_ma,
-        seed_power_mw=seed_power_mw,
-        tpa_db_per_mw=tpa_db_per_mw,
+        drop_port_power_mw=amp_out * to_drop,
+        tap_power_mw=amp_out * to_tap * 0.01,
+        above_threshold=g0_db >= budget.loop_db,
     )
 
 

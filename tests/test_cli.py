@@ -147,6 +147,28 @@ class TestLaserCurve:
         (bent,) = read_columns(tpa_dir / "laser_curve.csv", ("drop_power_mw",))
         assert clean[-1] - bent[-1] > 0.0
 
+    def test_tpa_threshold_zoom(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["laser-curve", "--out", str(out), "--tpa", "0.02"]
+        argv += ["--start-ma", "90.0", "--stop-ma", "90.004", "--step-ma", "0.0005"]
+        assert main(argv) == 0
+        (drop,) = read_columns(out / "laser_curve.csv", ("drop_power_mw",))
+        assert drop.size == 9
+        assert drop[0] == 0.0
+        assert np.all(drop[1:] > 0.0)
+
+    @pytest.mark.parametrize("extra", [[], ["--tpa", "0"]])
+    def test_zero_loss_loop_rejected(self, tmp_path, capsys, extra):
+        config = config_dict()
+        config["loss_budget"]["ring_insertion_db"] = 0.0
+        for element in config["loss_budget"]["elements"]:
+            element["loss_db"] = 0.0
+        path = tmp_path / "lossless.yaml"
+        path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+        argv = ["laser-curve", "--config", str(path), "--out", str(tmp_path / "run")]
+        assert main(argv + extra) == 2
+        assert "loop loss is 0 dB" in capsys.readouterr().err
+
 
 class TestFwmSweep:
     def slope_from(self, path) -> float:

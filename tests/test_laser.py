@@ -1,19 +1,21 @@
 """Tests for the loop-laser model.
 
 The implicit saturated-gain relation is checked against direct numerical
-integration of the distributed gain ODE, and the closed-form lasing
-characteristic is checked against the iterative round-trip fixed point.
+integration of the distributed gain ODE, the closed-form lasing
+characteristic against the round-trip steady-state root, and that root
+against the saturated-gain solver and the loop-closure condition.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from loopfwm.laser import (
     DB_PER_NEPER,
-    ConvergenceError,
     GainModel,
     LossBudget,
     LossElement,
@@ -24,17 +26,22 @@ from loopfwm.laser import (
     saturated_single_pass_gain,
     steady_state_roundtrip,
     threshold_current_ma,
-    total_loop_loss_db,
-    tpa_rollover,
 )
 
 BUDGET = LossBudget.paper_default()
 GAIN = default_gain_model()
 
+LOSSLESS = LossBudget(
+    elements=(LossElement("patch cord", 0.0),),
+    ring_insertion_db=0.0,
+    ring_index=0,
+    tap_index=0,
+)
+
 
 class TestLossBudget:
     def test_paper_default_totals_18_db(self):
-        assert total_loop_loss_db(BUDGET) == pytest.approx(18.0, abs=1e-12)
+        assert BUDGET.total_db == pytest.approx(18.0, abs=1e-12)
 
     def test_ring_insertion_reported_separately(self):
         assert BUDGET.ring_insertion_db == 2.0
@@ -44,14 +51,14 @@ class TestLossBudget:
         budget = LossBudget(
             elements=(LossElement("patch cord", 0.0),), ring_index=0, tap_index=0
         )
-        assert total_loop_loss_db(budget) == 0.0
+        assert budget.total_db == 0.0
 
     def test_removing_one_bandpass_filter(self):
         elements = tuple(
             e for e in BUDGET.elements if e.name != "bandpass filter (post-ring)"
         )
         budget = LossBudget(elements=elements, ring_index=4, tap_index=5)
-        assert total_loop_loss_db(budget) == pytest.approx(14.5, abs=1e-12)
+        assert budget.total_db == pytest.approx(14.5, abs=1e-12)
 
     def test_path_segments(self):
         # Amplifier -> BPF + 50:50 + isolator + input grating -> ring.
@@ -151,13 +158,7 @@ class TestThreshold:
         assert threshold_current_ma(GAIN, half_loss) == pytest.approx(45.0, abs=1e-9)
 
     def test_zero_loss(self):
-        lossless = LossBudget(
-            elements=(LossElement("patch cord", 0.0),),
-            ring_insertion_db=0.0,
-            ring_index=0,
-            tap_index=0,
-        )
-        assert threshold_current_ma(GAIN, lossless) == 0.0
+        assert threshold_current_ma(GAIN, LOSSLESS) == 0.0
 
     def test_cap_below_loss_raises(self):
         heavy = LossBudget(
@@ -210,19 +211,9 @@ class TestOutputPowerCurve:
 
 class TestSteadyState:
     def test_below_threshold_converges_to_zero(self):
-        for seed in (1e-3, 1.0, 100.0):
-            point = steady_state_roundtrip(GAIN, BUDGET, 80.0, seed_power_mw=seed)
-            assert point.circulating_power_mw == 0.0
-            assert not point.above_threshold
-
-    def test_seed_independent_above_threshold(self):
-        points = [
-            steady_state_roundtrip(GAIN, BUDGET, 120.0, seed_power_mw=seed)
-            for seed in (1e-3, 1.0, 100.0)
-        ]
-        reference = points[0].circulating_power_mw
-        for point in points[1:]:
-            assert point.circulating_power_mw == pytest.approx(reference, rel=1e-6)
+        point = steady_state_roundtrip(GAIN, BUDGET, 80.0)
+        assert point.circulating_power_mw == 0.0
+        assert not point.above_threshold
 
     def test_above_threshold_flag_tracks_gain(self):
         for current in (50.0, 89.0, 91.0, 140.0):
@@ -247,20 +238,16 @@ class TestSteadyState:
         assert point.circulating_power_mw == 0.0
         assert point.tap_power_mw == 0.0
 
-    def test_rejects_bad_seed(self):
-        with pytest.raises(ValueError, match="seed_power_mw"):
-            steady_state_roundtrip(GAIN, BUDGET, 120.0, seed_power_mw=0.0)
-
 
 class TestTwoPhotonAbsorption:
     def test_zero_coefficient_matches_plain_solver(self):
         plain = steady_state_roundtrip(GAIN, BUDGET, 150.0)
-        with_tpa = tpa_rollover(GAIN, BUDGET, 150.0, tpa_db_per_mw=0.0)
+        with_tpa = steady_state_roundtrip(GAIN, BUDGET, 150.0, tpa_db_per_mw=0.0)
         assert with_tpa.tap_power_mw == pytest.approx(plain.tap_power_mw, rel=1e-12)
 
     def test_added_loss_reduces_output(self):
         plain = steady_state_roundtrip(GAIN, BUDGET, 180.0)
-        with_tpa = tpa_rollover(GAIN, BUDGET, 180.0, tpa_db_per_mw=0.02)
+        with_tpa = steady_state_roundtrip(GAIN, BUDGET, 180.0, tpa_db_per_mw=0.02)
         assert with_tpa.tap_power_mw < plain.tap_power_mw
 
     def test_deviation_grows_with_current(self):
@@ -268,7 +255,7 @@ class TestTwoPhotonAbsorption:
         deviations = []
         for current in currents:
             plain = steady_state_roundtrip(GAIN, BUDGET, current)
-            rolled = tpa_rollover(GAIN, BUDGET, current, tpa_db_per_mw=0.02)
+            rolled = steady_state_roundtrip(GAIN, BUDGET, current, tpa_db_per_mw=0.02)
             deviations.append(plain.tap_power_mw - rolled.tap_power_mw)
         deviations = np.asarray(deviations)
         assert np.all(deviations >= 0.0)
@@ -276,7 +263,78 @@ class TestTwoPhotonAbsorption:
 
     def test_rejects_negative_coefficient(self):
         with pytest.raises(ValueError, match="tpa_db_per_mw"):
-            tpa_rollover(GAIN, BUDGET, 150.0, tpa_db_per_mw=-0.01)
+            steady_state_roundtrip(GAIN, BUDGET, 150.0, tpa_db_per_mw=-0.01)
+
+
+CURRENTS = st.floats(min_value=0.0, max_value=200.0)
+TPA = st.floats(min_value=0.0, max_value=0.1)
+
+
+def assert_steady_state(point, budget, tpa_db_per_mw):
+    """The loop closes and the saturated-gain solver reproduces the clamped gain."""
+    power = point.circulating_power_mw
+    if power == 0.0:
+        return
+    clamped = 10.0 ** (point.saturated_gain_db / 10.0)
+    loop = 10.0 ** (-(budget.loop_db + tpa_db_per_mw * power) / 10.0)
+    assert clamped * loop == pytest.approx(1.0, rel=1e-14)
+    amplifier = saturated_single_pass_gain(GAIN, point.current_ma, power / clamped)
+    assert amplifier == pytest.approx(clamped, rel=1e-12)
+
+
+class TestZeroLossLoop:
+    def test_closed_form_names_the_zero_loss(self):
+        with pytest.raises(ValueError, match="loop loss is 0 dB"):
+            output_power_curve(GAIN, LOSSLESS, np.array([0.0, 50.0]))
+
+    def test_roundtrip_without_tpa_names_the_zero_loss(self):
+        with pytest.raises(ValueError, match="loop loss is 0 dB"):
+            steady_state_roundtrip(GAIN, LOSSLESS, 50.0)
+
+    def test_tpa_bounds_the_power(self):
+        point = steady_state_roundtrip(GAIN, LOSSLESS, 50.0, tpa_db_per_mw=0.02)
+        assert 0.0 < point.circulating_power_mw < math.inf
+        # Without a fixed loss the clamped gain is the TPA loss alone.
+        assert point.saturated_gain_db == pytest.approx(
+            0.02 * point.circulating_power_mw, rel=1e-15
+        )
+        assert_steady_state(point, LOSSLESS, 0.02)
+
+
+class TestRootProperties:
+    @settings(deadline=None)
+    @given(current=CURRENTS, tpa=TPA)
+    # The band just above threshold where the old fixed-point iteration
+    # could not settle.
+    @example(current=90.0000001, tpa=0.02)
+    @example(current=90.0005, tpa=0.02)
+    @example(current=90.004, tpa=0.02)
+    def test_nonnegative_and_self_consistent(self, current, tpa):
+        point = steady_state_roundtrip(GAIN, BUDGET, current, tpa_db_per_mw=tpa)
+        lasing = point.small_signal_gain_db > BUDGET.loop_db
+        assert (point.circulating_power_mw > 0.0) == lasing
+        assert point.drop_port_power_mw >= 0.0
+        assert point.tap_power_mw >= 0.0
+        assert_steady_state(point, BUDGET, tpa)
+
+    @settings(deadline=None)
+    @given(currents=st.lists(CURRENTS, min_size=2, max_size=6), tpa=TPA)
+    def test_monotone_in_current(self, currents, tpa):
+        powers = [
+            steady_state_roundtrip(
+                GAIN, BUDGET, current, tpa_db_per_mw=tpa
+            ).circulating_power_mw
+            for current in sorted(currents)
+        ]
+        assert all(a <= b for a, b in zip(powers, powers[1:]))
+
+    @settings(deadline=None)
+    @given(current=CURRENTS)
+    def test_matches_closed_form_without_tpa(self, current):
+        drop, tap = output_power_curve(GAIN, BUDGET, current)
+        point = steady_state_roundtrip(GAIN, BUDGET, current)
+        assert point.drop_port_power_mw == pytest.approx(float(drop), rel=1e-12, abs=0.0)
+        assert point.tap_power_mw == pytest.approx(float(tap), rel=1e-12, abs=0.0)
 
 
 class TestTapInversion:
