@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-_FLOAT_FORMAT = "{:.12g}"
+#: Printf-style float format shared by :func:`format_float` and the row
+#: writer, so single values and table cells always print alike.
+_FLOAT_FORMAT = "%.12g"
 
 
 class CsvParseError(ValueError):
@@ -23,7 +25,7 @@ class CsvParseError(ValueError):
 
 
 def format_float(value: float) -> str:
-    return _FLOAT_FORMAT.format(float(value))
+    return _FLOAT_FORMAT % float(value)
 
 
 def write_table(
@@ -49,8 +51,11 @@ def write_table(
             handle.write(f"# {comment}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in range(length):
-            writer.writerow([format_float(array[row]) for array in arrays])
+        # One format call per row rather than per cell; the cells need no
+        # quoting, so this writes the same bytes as csv.writer would.
+        row_format = ",".join([_FLOAT_FORMAT] * len(arrays)) + "\n"
+        for row in zip(*[array.tolist() for array in arrays]):
+            handle.write(row_format % row)
         for comment in trailer_comments:
             handle.write(f"# {comment}\n")
 

@@ -26,7 +26,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import least_squares
 
 SPECTRUM_KINDS = ("through", "drop", "idler")
 
@@ -288,6 +287,10 @@ def fit_lorentzian(
             raise ValueError(f"initial guess must be finite with positive width, got {guess}")
     center0, fwhm0, amplitude0, baseline0 = guess
     _check_single_resonance(wavelengths, values, center0, fwhm0, amplitude0, baseline0)
+
+    # Imported here, not at module top: scipy.optimize costs about 0.2 s
+    # to import, and only this fit uses it.
+    from scipy.optimize import least_squares
 
     def residuals(params: np.ndarray) -> np.ndarray:
         return lorentzian_profile(wavelengths, *params) - values

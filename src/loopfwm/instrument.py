@@ -5,7 +5,10 @@ response, modeled here as a Gaussian of given FWHM.  Convolution is
 performed with periodic (wrap-around) boundary handling so that a
 unit-sum kernel conserves the discretely integrated power exactly; with
 open boundaries the tails leaking off the grid edges would break power
-bookkeeping at the 1e-4 level for typical windows.
+bookkeeping at the 1e-4 level for typical windows.  The blur is plain
+numpy: the samples are wrap-padded by the kernel half-width and the
+short symmetric kernel is applied tap by tap, summed in the same order
+as ``scipy.ndimage.convolve1d(mode="wrap")`` so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 #: Ratio between the FWHM and standard deviation of a Gaussian.
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -85,20 +87,45 @@ def gaussian_kernel(step_nm: float, fwhm_nm: float, max_halfwidth: int | None = 
 
 
 def convolve_conserving(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Convolve with wrap-around boundaries, conserving the sample sum.
+    """Convolve along the last axis with wrap-around boundaries, conserving the sum.
 
     For a unit-sum kernel the output sum equals the input sum to machine
     precision, because every input sample is redistributed rather than
-    partially lost off the edges.
+    partially lost off the edges.  A 2-D array is blurred row by row.
+
+    The kernel must be odd-length and exactly symmetric, as every
+    :func:`gaussian_kernel` is; convolution and correlation then coincide.
+    The samples are wrap-padded by the kernel half-width and each output
+    is ``v[i]*w[0] + sum((v[i-j] + v[i+j])*w[j])`` with ``j`` running down
+    from the half-width to 1, the summation order of scipy's symmetric
+    ``convolve1d`` path, so results match ``convolve1d(mode="wrap")``
+    exactly.
+
+    Raises
+    ------
+    ValueError
+        If the kernel is even-length, asymmetric, or longer than the
+        grid along the last axis.
     """
     values = np.asarray(values, dtype=float)
-    if len(kernel) > values.size:
+    kernel = np.asarray(kernel, dtype=float)
+    if kernel.ndim != 1 or kernel.size % 2 == 0:
+        raise ValueError(f"kernel must be 1-D and odd-length, got shape {kernel.shape}")
+    if not np.array_equal(kernel, kernel[::-1]):
+        raise ValueError("kernel must be symmetric")
+    count = values.shape[-1]
+    if kernel.size > count:
         raise ValueError(
-            f"kernel of {len(kernel)} samples exceeds the {values.size}-sample grid"
+            f"kernel of {kernel.size} samples exceeds the {count}-sample grid"
         )
-    if len(kernel) == 1:
-        return values * kernel[0]
-    return convolve1d(values, kernel, mode="wrap")
+    half = kernel.size // 2
+    padded = np.concatenate((values[..., count - half:], values, values[..., :half]), axis=-1)
+    out = padded[..., half:half + count] * kernel[half]
+    for j in range(half, 0, -1):
+        left = padded[..., half - j:half - j + count]
+        right = padded[..., half + j:half + j + count]
+        out += (left + right) * kernel[half + j]
+    return out
 
 
 def apply_resolution(values: np.ndarray, step_nm: float, resolution_fwhm_nm: float) -> np.ndarray:

@@ -17,7 +17,9 @@ Conventions
   practical scan step, so the scan simulation supersamples the idler
   axis and box-averages back to the requested grid before applying the
   instrument kernel; sampling the ridge at cell centers alone would
-  alias it.
+  alias it.  The blur is :func:`loopfwm.instrument.convolve_conserving`
+  along the idler axis, with wrap-around edges so each row keeps its
+  mass.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from loopfwm.fwm import FwmTriplet
-from loopfwm.instrument import centered_grid, gaussian_kernel
+from loopfwm.instrument import centered_grid, convolve_conserving, gaussian_kernel
 from loopfwm.ring import SPEED_OF_LIGHT_NM_GHZ
-from scipy.ndimage import convolve1d
 
 #: Default pump linewidth (GHz) for the scanned-measurement simulation.
 #: The self-pumped laser line is far narrower than the 70 GHz ring
@@ -363,7 +364,9 @@ def simulate_jsd_scan(
     two-photon ridge can be orders of magnitude narrower than the scan
     step, so each coarse idler cell is supersampled at cell-centered
     subpoints and box-averaged, which conserves the slice mass.  The
-    instrument response then blurs each idler spectrum.
+    instrument response then blurs each idler spectrum with
+    :func:`loopfwm.instrument.convolve_conserving` (wrap-around edges,
+    so the blur conserves each row's mass too).
 
     Parameters
     ----------
@@ -449,6 +452,5 @@ def simulate_jsd_scan(
         kernel = gaussian_kernel(
             step_nm, resolution_fwhm_pm * 1e-3, max_halfwidth=(n_idler - 1) // 2
         )
-        if kernel.size > 1:
-            result = convolve1d(result, kernel, axis=1, mode="wrap")
+        result = convolve_conserving(result, kernel)
     return result

@@ -1,17 +1,21 @@
 """End-to-end tests of the command-line interface.
 
 Commands are exercised through :func:`loopfwm.cli.main` with explicit
-argument lists; one subprocess test confirms the module entry point.
+argument lists; subprocess tests confirm the module entry point and which
+modules a fresh process imports.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import loopfwm
 from loopfwm.cli import main
 from loopfwm.csvio import read_columns, read_table
 
@@ -328,3 +332,46 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "loopfwm" in result.stdout
+
+
+def scipy_modules_loaded(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter and list the scipy modules it loaded."""
+    source_root = str(Path(loopfwm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    # The commands print to stdout too, so the module list goes on the last line.
+    script = (
+        code
+        + "\nimport json, sys\n"
+        + "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+class TestImportCost:
+    """scipy is imported only by the command that computes with it."""
+
+    def test_cli_import_loads_no_scipy(self):
+        assert scipy_modules_loaded("import loopfwm.cli") == []
+
+    def test_laser_and_lasing_fit_load_no_scipy(self, tmp_path):
+        out, curve = str(tmp_path), str(tmp_path / "laser_curve.csv")
+        code = (
+            "from loopfwm.cli import main\n"
+            f"assert main(['laser-curve', '--tpa', '--out', {out!r}]) == 0\n"
+            f"assert main(['fit', {curve!r}, '--model', 'lasing', '--out', {out!r}]) == 0\n"
+        )
+        assert scipy_modules_loaded(code) == []
+
+    def test_lorentzian_fit_imports_optimizer_lazily(self, tmp_path):
+        out, drop = str(tmp_path), str(tmp_path / "drop.csv")
+        code = (
+            "from loopfwm.cli import main\n"
+            f"assert main(['ring-spectrum', '--out', {out!r}]) == 0\n"
+            f"assert main(['fit', {drop!r}, '--model', 'lorentzian', '--out', {out!r}]) == 0\n"
+        )
+        assert "scipy.optimize" in scipy_modules_loaded(code)

@@ -106,3 +106,66 @@ class TestWriterValidation:
     def test_format_float_is_stable(self):
         assert format_float(np.pi) == format_float(3.141592653589793)
         assert format_float(2.0) == "2"
+
+
+def per_cell_text(header, columns, trailer=()) -> bytes:
+    """Reference bytes: every cell through ``format_float``, joined by commas."""
+    lines = [",".join(header)]
+    lines += [",".join(format_float(value) for value in row) for row in zip(*columns)]
+    lines += [f"# {comment}" for comment in trailer]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestRowFormatting:
+    """Rows are formatted with one call each; the bytes must equal the
+    per-cell ``format_float`` text."""
+
+    EDGE_VALUES = np.array(
+        [
+            -0.0,
+            0.0,
+            np.nan,
+            np.inf,
+            -np.inf,
+            5e-324,
+            1e-300,
+            1e21,
+            123456789012345.0,
+            # Needs all 12 significant digits.
+            0.123456789012,
+            -1554.98765432101,
+            np.pi,
+        ]
+    )
+
+    def test_edge_values_match_per_cell_text(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        columns = (self.EDGE_VALUES, self.EDGE_VALUES[::-1].copy(), -self.EDGE_VALUES)
+        write_table(path, ("a", "b", "c"), columns)
+        assert path.read_bytes() == per_cell_text(("a", "b", "c"), columns)
+
+    def test_single_column(self, tmp_path):
+        path = tmp_path / "single.csv"
+        write_table(path, ("v",), (self.EDGE_VALUES,))
+        assert path.read_bytes() == per_cell_text(("v",), (self.EDGE_VALUES,))
+        assert path.read_text(encoding="utf-8").split("\n")[1:-1] == [
+            "-0", "0", "nan", "inf", "-inf", "4.94065645841e-324", "1e-300", "1e+21",
+            "1.23456789012e+14", "0.123456789012", "-1554.98765432", "3.14159265359",
+        ]
+
+    def test_zero_rows_keep_header_and_trailer(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        empty = np.array([])
+        write_table(path, ("x", "y"), (empty, empty), trailer_comments=("n = 0",))
+        assert path.read_bytes() == b"x,y\n# n = 0\n"
+        assert path.read_bytes() == per_cell_text(("x", "y"), (empty, empty), ("n = 0",))
+
+    def test_random_table_matches_per_cell_text(self, tmp_path):
+        rng = np.random.default_rng(5)
+        columns = (
+            rng.uniform(1540.0, 1570.0, 500),
+            rng.normal(0.0, 1.0, 500) * 10.0 ** rng.integers(-300, 300, 500),
+        )
+        path = tmp_path / "random.csv"
+        write_table(path, ("x", "y"), columns, trailer_comments=("done",))
+        assert path.read_bytes() == per_cell_text(("x", "y"), columns, ("done",))

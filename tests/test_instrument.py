@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import convolve1d
 
 from loopfwm.instrument import (
     FWHM_PER_SIGMA,
@@ -103,6 +107,18 @@ class TestConvolution:
         with pytest.raises(ValueError, match="exceeds"):
             convolve_conserving(np.ones(5), np.ones(7) / 7.0)
 
+    def test_rejects_even_or_asymmetric_kernel(self):
+        with pytest.raises(ValueError, match="odd-length"):
+            convolve_conserving(np.ones(16), np.ones(4) / 4.0)
+        with pytest.raises(ValueError, match="odd-length"):
+            convolve_conserving(np.ones(16), np.ones((3, 3)) / 9.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            convolve_conserving(np.ones(16), np.array([0.2, 0.5, 0.3]))
+        kernel = gaussian_kernel(0.01, 0.067)
+        kernel[0] = np.nextafter(kernel[0], 1.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            convolve_conserving(np.ones(64), kernel)
+
     def test_gaussian_widths_add_in_quadrature(self):
         step = 0.005
         grid = centered_grid(0.0, 6.0, step)
@@ -114,3 +130,30 @@ class TestConvolution:
         sigma_out = math.sqrt(np.sum(blurred * grid**2) / blurred.sum())
         expected = math.hypot(0.3, 0.4) / FWHM_PER_SIGMA
         assert sigma_out == pytest.approx(expected, rel=1e-3)
+
+
+@st.composite
+def blur_cases(draw):
+    """A 1-D spectrum or a 2-D stack of them, with a Gaussian kernel that fits."""
+    length = draw(st.integers(min_value=3, max_value=700))
+    shape = draw(st.sampled_from([(length,), (draw(st.integers(1, 4)), length)]))
+    values = draw(
+        arrays(float, shape, elements=st.floats(min_value=1e-12, max_value=1e3))
+    )
+    step = draw(st.floats(min_value=1e-3, max_value=0.05))
+    fwhm = draw(st.floats(min_value=1e-3, max_value=2.0))
+    kernel = gaussian_kernel(step, fwhm, max_halfwidth=(length - 1) // 2)
+    return values, kernel
+
+
+class TestMatchesScipy:
+    """The numpy blur reproduces ``scipy.ndimage.convolve1d(mode="wrap")``
+    bit for bit, so swapping one for the other changes no output byte."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=blur_cases())
+    def test_bitwise_equal_to_convolve1d(self, case):
+        values, kernel = case
+        got = convolve_conserving(values, kernel)
+        expected = convolve1d(values, kernel, axis=-1, mode="wrap")
+        assert np.array_equal(got, expected)
