@@ -19,7 +19,8 @@ instrument
 jsd
     Joint spectral density, ridge extraction, Schmidt decomposition.
 fitting
-    Lorentzian resonance fits, threshold fits, linear regression helpers.
+    Lorentzian resonance fits, the lasing-threshold fit, and the weighted
+    line fit shared by the threshold, ridge and conversion-slope fits.
 config
     YAML configuration loading and validation.
 cli

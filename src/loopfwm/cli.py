@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, default_config_text, parse_config
+from .config import ConfigError, ExperimentConfig, default_config_text, load_config, parse_config
 from .csvio import CsvParseError, format_float, read_table, write_table
 from .fitting import (
     FitConvergenceError,
@@ -40,6 +41,7 @@ from .fitting import (
     Spectrum,
     fit_lasing_curve,
     fit_lorentzian,
+    weighted_line,
 )
 from .instrument import range_grid
 from .fwm import conversion_sweep
@@ -169,15 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
     """Load the experiment config and remember where it came from."""
     if args.config is None:
-        text = default_config_text()
-        origin = "<packaged default>"
-    else:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        origin = str(args.config)
-    return parse_config(text), origin
+        return parse_config(default_config_text()), "<packaged default>"
+    return load_config(args.config), str(args.config)
 
 
 def _out_dir(args: argparse.Namespace, config: ExperimentConfig) -> Path:
@@ -252,6 +247,8 @@ def _cmd_ring_spectrum(args: argparse.Namespace) -> int:
     )
     if not stop > start:
         raise ConfigError(f"wavelength range must satisfy start < stop, got [{start}, {stop}]")
+    if not start > 0.0:
+        raise ConfigError(f"start wavelength must be positive, got {start} nm")
     if resolution <= 0.0:
         raise ConfigError(f"resolution must be positive, got {resolution} pm")
 
@@ -315,12 +312,13 @@ def _cmd_fwm_sweep(args: argparse.Namespace) -> int:
     config, origin = _load(args)
     if args.points < 2:
         raise ConfigError(f"a sweep needs at least 2 points, got {args.points}")
-    if args.start_mw <= 0.0 or not args.stop_mw > args.start_mw:
+    if not (0.0 < args.start_mw < args.stop_mw < math.inf):
         raise ConfigError(
-            f"power range must satisfy 0 < start < stop, got [{args.start_mw}, {args.stop_mw}]"
+            f"power range must satisfy 0 < start < stop < inf, "
+            f"got [{args.start_mw}, {args.stop_mw}]"
         )
-    if args.fixed_mw <= 0.0:
-        raise ConfigError(f"fixed power must be positive, got {args.fixed_mw}")
+    if not 0.0 < args.fixed_mw < math.inf:
+        raise ConfigError(f"fixed power must be positive and finite, got {args.fixed_mw}")
 
     values = np.geomspace(args.start_mw, args.stop_mw, args.points)
     idler = conversion_sweep(
@@ -332,8 +330,13 @@ def _cmd_fwm_sweep(args: argparse.Namespace) -> int:
         config.coupling,
         config.gamma_per_w_m,
     )
-    slopes = np.polyfit(np.log10(values), np.log10(idler), 1)
-    slope = float(slopes[0])
+    if not np.all(np.isfinite(idler) & (idler > 0.0)):
+        raise ConfigError(
+            "idler power is not finite and positive over the sweep "
+            "(the powers underflow or overflow); narrow the power range"
+        )
+    log_values = np.log10(values)
+    slope, _, _ = weighted_line(log_values, np.log10(idler), np.ones_like(log_values))
 
     directory = _out_dir(args, config)
     write_table(

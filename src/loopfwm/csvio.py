@@ -103,18 +103,3 @@ def read_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, tuple[str
         raise CsvParseError("line 1: file has no header row")
     data = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
     return header, data, tuple(comments)
-
-
-def read_columns(
-    path: str | Path, names: tuple[str, ...]
-) -> tuple[np.ndarray, ...]:
-    """Read specific named columns from a CSV table."""
-    header, data, _ = read_table(path)
-    indices = []
-    for name in names:
-        if name not in header:
-            raise CsvParseError(
-                f"column '{name}' not found; file has columns {', '.join(header)}"
-            )
-        indices.append(header.index(name))
-    return tuple(data[:, index] for index in indices)

@@ -9,8 +9,9 @@ The module provides three fitters:
   current with iterative hinge detection, so below-threshold points are
   excluded automatically and the threshold current is reported as the
   x-intercept.
-* :func:`linear_least_squares` — the closed-form weighted regression the
-  lasing fit is built on, exposed for generic two-column data.
+* :func:`weighted_line` — the package's one weighted straight-line fit,
+  computed about the weighted mean; the lasing fit, the joint-spectrum
+  ridge fit and the four-wave-mixing log-log slope all use it.
 
 All fitters are deterministic: initial guesses are derived from the data
 by fixed rules (extremum position, half-depth crossings, window-edge
@@ -349,70 +350,53 @@ def fit_lorentzian(
     )
 
 
-def _weighted_line(
+def weighted_line(
     xs: np.ndarray, ys: np.ndarray, weights: np.ndarray
 ) -> tuple[float, float, np.ndarray]:
-    """Closed-form weighted regression; returns slope, intercept, covariance."""
-    s0 = float(weights.sum())
-    sx = float((weights * xs).sum())
-    sxx = float((weights * xs * xs).sum())
-    sy = float((weights * ys).sum())
-    sxy = float((weights * xs * ys).sum())
-    determinant = s0 * sxx - sx * sx
-    if determinant <= 0.0 or not np.isfinite(determinant):
-        raise ValueError("x values carry no spread; a line cannot be determined")
-    slope = (s0 * sxy - sx * sy) / determinant
-    intercept = (sxx * sy - sx * sxy) / determinant
-    unit_cov = (
-        np.array([[s0, -sx], [-sx, sxx]]) / determinant
-    )  # covariance of (slope, intercept) for unit-variance weights
-    residuals = ys - (slope * xs + intercept)
-    dof = xs.size - 2
-    scale = float((weights * residuals * residuals).sum()) / dof if dof > 0 else 0.0
-    return slope, intercept, unit_cov * scale
+    """Weighted least-squares line ``y = slope*x + intercept``.
 
+    The sums are taken about the weighted mean ``x̄``, so an offset far
+    larger than the spread of ``xs`` (a threshold zoom at 90 mA over a
+    few microamps) costs no digits.  The covariance of
+    ``(slope, intercept)`` is ``[[1, -x̄], [-x̄, Sxx/Σw + x̄²]] / Sxx``,
+    with ``Sxx = Σw(x - x̄)²``, scaled by the reduced chi-square; an exact
+    two-point line reports zero covariance.
 
-def linear_least_squares(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> FitReport:
-    """Weighted straight-line fit with covariance-derived uncertainties.
-
-    Uncertainties are scaled by the reduced chi-square, so they reflect
-    the scatter of the data rather than the absolute weight scale; an
-    exact two-point line reports zero uncertainty.
+    Raises
+    ------
+    ValueError
+        If the arrays are not equal-length 1-D and finite, hold fewer
+        than two points, the weights are negative or all zero, or the
+        x values carry no spread.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError(f"xs and ys must be equal-length 1-D arrays, got {xs.shape}, {ys.shape}")
+    weights = np.asarray(weights, dtype=float)
+    if xs.ndim != 1 or ys.shape != xs.shape or weights.shape != xs.shape:
+        raise ValueError(
+            f"xs, ys and weights must be equal-length 1-D arrays, "
+            f"got {xs.shape}, {ys.shape}, {weights.shape}"
+        )
     if xs.size < 2:
         raise ValueError(f"at least 2 points are required, got {xs.size}")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise ValueError("xs and ys must be finite")
-    if weights is None:
-        weights = np.ones_like(xs)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != xs.shape:
-            raise ValueError("weights must match the data shape")
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0.0) or weights.sum() == 0.0:
-            raise ValueError("weights must be finite, nonnegative, and not all zero")
-
-    slope, intercept, covariance = _weighted_line(xs, ys, weights)
-    residuals = ys - (slope * xs + intercept)
-    parameters = {
-        "slope": FitParameter(slope, float(np.sqrt(max(covariance[0, 0], 0.0)))),
-        "intercept": FitParameter(intercept, float(np.sqrt(max(covariance[1, 1], 0.0)))),
-    }
-    return FitReport(
-        parameters=parameters,
-        residual_rms=float(np.sqrt(np.mean(np.square(residuals)))),
-        points_used=int(xs.size),
-        points_excluded=0,
-        model="line",
-    )
+    total = np.sum(weights)
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0) or not total > 0.0:
+        raise ValueError("weights must be finite, nonnegative, and not all zero")
+    x_mean = np.sum(weights * xs) / total
+    y_mean = np.sum(weights * ys) / total
+    dx = xs - x_mean
+    sxx = np.sum(weights * dx * dx)
+    if not (np.isfinite(sxx) and sxx > 0.0):
+        raise ValueError("x values carry no spread; a line cannot be determined")
+    slope = float(np.sum(weights * dx * (ys - y_mean)) / sxx)
+    intercept = float(y_mean - slope * x_mean)
+    residuals = (ys - y_mean) - slope * dx
+    dof = xs.size - 2
+    scale = float(np.sum(weights * residuals * residuals)) / dof if dof > 0 else 0.0
+    covariance = np.array([[1.0, -x_mean], [-x_mean, sxx / total + x_mean * x_mean]])
+    return slope, intercept, covariance * (scale / sxx)
 
 
 def fit_lasing_curve(
@@ -464,7 +448,7 @@ def fit_lasing_curve(
         raise ValueError("all points are below threshold; no lasing slope to fit")
 
     for _ in range(currents.size):
-        slope, intercept, covariance = _weighted_line(
+        slope, intercept, covariance = weighted_line(
             currents[included], powers[included], weights[included]
         )
         predicted = slope * currents[included] + intercept

@@ -9,13 +9,11 @@ buildup on its own resonance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from loopfwm.instrument import apply_resolution
-from loopfwm.ring import RingCoupling, RingGeometry, drop_fwhm_nm, field_enhancement
+from loopfwm.ring import RingCoupling, RingGeometry, field_enhancement
 
 #: Default tolerance on the energy-conservation residual |2/lp - 1/ls - 1/li|,
 #: in 1/nm.  Loose enough to accept measured resonance triplets (which sit a
@@ -182,17 +180,6 @@ def idler_power_mw(
     return float(result) if result.ndim == 0 else result
 
 
-def resonant_enhancements(coupling: RingCoupling):
-    """Intensity buildup at exact resonance, identical for all three waves.
-
-    With a single wavelength-independent coupling model the pump, signal
-    and idler resonances share the same on-resonance buildup; the return
-    value is ``(pump, signal, idler)`` for symmetry with the formula.
-    """
-    on_resonance = float(field_enhancement(0.0, coupling))
-    return on_resonance, on_resonance, on_resonance
-
-
 def idler_power_on_ring(
     triplet: FwmTriplet,
     pump_mw,
@@ -201,16 +188,20 @@ def idler_power_on_ring(
     coupling: RingCoupling,
     gamma_per_w_m: float,
 ):
-    """Idler power with enhancements evaluated at the ring's resonance centers."""
-    pump_e, signal_e, idler_e = resonant_enhancements(coupling)
+    """Idler power with enhancements evaluated at the ring's resonance centers.
+
+    With a single wavelength-independent coupling model the pump, signal
+    and idler resonances share one on-resonance buildup.
+    """
+    on_resonance = float(field_enhancement(0.0, coupling))
     return idler_power_mw(
         pump_mw,
         signal_mw,
         gamma_per_w_m=gamma_per_w_m,
         interaction_length_m=geometry.circumference_nm * 1e-9,
-        pump_enhancement=pump_e,
-        signal_enhancement=signal_e,
-        idler_enhancement=idler_e,
+        pump_enhancement=on_resonance,
+        signal_enhancement=on_resonance,
+        idler_enhancement=on_resonance,
     )
 
 
@@ -249,58 +240,3 @@ def conversion_sweep(
     return idler_power_on_ring(
         triplet, fixed_mw, values_mw, geometry, coupling, gamma_per_w_m
     )
-
-
-def idler_spectrum_mw_per_nm(
-    wavelength_nm: np.ndarray,
-    triplet: FwmTriplet,
-    idler_power_total_mw: float,
-    geometry: RingGeometry,
-    coupling: RingCoupling,
-    resolution_fwhm_pm: float,
-):
-    """Sampled idler spectrum: resonance Lorentzian blurred by the instrument.
-
-    The bare line is a Lorentzian centered on the idler resonance with
-    the FWHM of the loaded drop resonance, discretely normalized so the
-    grid sum times the step equals the total idler power; the instrument
-    response then redistributes that power without changing it.
-
-    Parameters
-    ----------
-    wavelength_nm : ndarray
-        Uniform wavelength grid in nm.
-    triplet : FwmTriplet
-        Wavelength triplet; only the idler center is used here.
-    idler_power_total_mw : float
-        Total generated idler power in mW.
-    geometry, coupling :
-        Ring model fixing the resonance linewidth.
-    resolution_fwhm_pm : float
-        Spectrometer resolution (Gaussian FWHM) in picometers.
-
-    Returns
-    -------
-    ndarray
-        Spectral density in mW per nm on the input grid.
-    """
-    wavelength_nm = np.asarray(wavelength_nm, dtype=float)
-    if wavelength_nm.size < 3:
-        raise ValueError("wavelength grid needs at least 3 samples")
-    if idler_power_total_mw < 0.0:
-        raise ValueError(
-            f"idler_power_total_mw must be >= 0, got {idler_power_total_mw}"
-        )
-    if resolution_fwhm_pm <= 0.0:
-        raise ValueError(
-            f"resolution_fwhm_pm must be positive, got {resolution_fwhm_pm}"
-        )
-    step_nm = wavelength_nm[1] - wavelength_nm[0]
-    fwhm_nm = drop_fwhm_nm(triplet.idler_nm, geometry, coupling)
-    half_width = fwhm_nm / 2.0
-    bare = half_width**2 / ((wavelength_nm - triplet.idler_nm) ** 2 + half_width**2)
-    mass = bare.sum() * step_nm
-    if mass == 0.0:
-        return np.zeros_like(bare)
-    density = bare * (idler_power_total_mw / mass)
-    return apply_resolution(density, step_nm, resolution_fwhm_pm * 1e-3)

@@ -39,6 +39,11 @@ def centered_grid(center_nm: float, span_nm: float, step_nm: float) -> np.ndarra
 
 def range_grid(start_nm: float, stop_nm: float, step_nm: float) -> np.ndarray:
     """Uniform grid from ``start_nm`` to ``stop_nm`` inclusive (up to rounding)."""
+    if not all(math.isfinite(value) for value in (start_nm, stop_nm, step_nm)):
+        raise ValueError(
+            f"grid bounds and step must be finite, got [{start_nm}, {stop_nm}] "
+            f"step {step_nm}"
+        )
     if step_nm <= 0.0:
         raise ValueError(f"step_nm must be positive, got {step_nm}")
     if stop_nm <= start_nm:
@@ -126,27 +131,3 @@ def convolve_conserving(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         right = padded[..., half + j:half + j + count]
         out += (left + right) * kernel[half + j]
     return out
-
-
-def apply_resolution(values: np.ndarray, step_nm: float, resolution_fwhm_nm: float) -> np.ndarray:
-    """Blur a sampled spectrum by the instrument response.
-
-    Parameters
-    ----------
-    values : ndarray
-        Spectrum samples on a uniform grid.
-    step_nm : float
-        Grid spacing.
-    resolution_fwhm_nm : float
-        Instrument FWHM; must be positive.
-
-    Returns
-    -------
-    ndarray
-        Blurred spectrum with the same discrete integral.
-    """
-    values = np.asarray(values, dtype=float)
-    kernel = gaussian_kernel(
-        step_nm, resolution_fwhm_nm, max_halfwidth=(values.size - 1) // 2
-    )
-    return convolve_conserving(values, kernel)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from loopfwm.fitting import weighted_line
 from loopfwm.fwm import FwmTriplet
 from loopfwm.instrument import centered_grid, convolve_conserving, gaussian_kernel
 from loopfwm.ring import SPEED_OF_LIGHT_NM_GHZ
@@ -80,7 +81,7 @@ class SpectralAxis:
 
     @property
     def size(self) -> int:
-        return int(round(self.span_nm / self.step_nm)) + 1
+        return self.wavelengths_nm().size
 
     def wavelengths_nm(self) -> np.ndarray:
         return centered_grid(self.center_nm, self.span_nm, self.step_nm)
@@ -113,15 +114,10 @@ class SpectralGrid:
 class JointAmplitude:
     """Complex joint spectral amplitude sampled on a grid.
 
-    The matrix is indexed ``[signal, idler]``.  Linewidths are carried
-    along for reporting; they do not alter the stored samples.
+    The matrix is indexed ``[signal, idler]``.
     """
 
     matrix: np.ndarray
-    grid: SpectralGrid
-    pump_linewidth_ghz: float
-    signal_linewidth_ghz: float
-    idler_linewidth_ghz: float
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix)
@@ -250,13 +246,7 @@ def jsa(
         * resonance_lineshape(omega_s, signal_linewidth_ghz)[:, None]
         * resonance_lineshape(omega_i, idler_linewidth_ghz)[None, :]
     )
-    return JointAmplitude(
-        matrix=matrix,
-        grid=grid,
-        pump_linewidth_ghz=pump_linewidth_ghz,
-        signal_linewidth_ghz=signal_linewidth_ghz,
-        idler_linewidth_ghz=idler_linewidth_ghz,
-    )
+    return JointAmplitude(matrix)
 
 
 def schmidt(joint: JointAmplitude) -> SchmidtResult:
@@ -329,19 +319,7 @@ def ridge_fit(
         raise ValueError("intensity matrix is identically zero")
     keep = mass > 0.0
     centroids = matrix[keep] @ idler_nm / mass[keep]
-    x = signal_nm[keep]
-    w = mass[keep]
-
-    # Weighted normal equations for idler = intercept + slope * signal,
-    # solved about the weighted mean for conditioning.
-    x_mean = np.sum(w * x) / np.sum(w)
-    y_mean = np.sum(w * centroids) / np.sum(w)
-    dx = x - x_mean
-    variance = np.sum(w * dx * dx)
-    if variance == 0.0:
-        raise ValueError("ridge fit needs more than one populated signal row")
-    slope = float(np.sum(w * dx * (centroids - y_mean)) / variance)
-    intercept = float(y_mean - slope * x_mean)
+    slope, intercept, _ = weighted_line(signal_nm[keep], centroids, mass[keep])
 
     predicted = intercept + slope * signal_nm[:, None]
     perpendicular = (idler_nm[None, :] - predicted) / math.hypot(1.0, slope)

@@ -389,11 +389,11 @@ def steady_state_roundtrip(
     Raises
     ------
     ValueError
-        If ``tpa_db_per_mw`` is negative, or if the loop loss is 0 dB
-        with no two-photon absorption to bound the power.
+        If ``tpa_db_per_mw`` is negative or not finite, or if the loop
+        loss is 0 dB with no two-photon absorption to bound the power.
     """
-    if tpa_db_per_mw < 0.0:
-        raise ValueError(f"tpa_db_per_mw must be >= 0, got {tpa_db_per_mw}")
+    if not 0.0 <= tpa_db_per_mw < math.inf:
+        raise ValueError(f"tpa_db_per_mw must be finite and >= 0, got {tpa_db_per_mw}")
 
     g0_db = gain.small_signal_gain_db(current_ma)
     if tpa_db_per_mw == 0.0:
@@ -426,32 +426,6 @@ def steady_state_roundtrip(
         tap_power_mw=amp_out * to_tap * 0.01,
         above_threshold=g0_db >= budget.loop_db,
     )
-
-
-def drop_power_from_tap(tap_power_mw, budget: LossBudget):
-    """Infer drop-port power from a 1% tap reading.
-
-    Undoes the 99:1 split and the passive path between the ring drop
-    port and the splitter input.
-
-    Parameters
-    ----------
-    tap_power_mw : float or ndarray
-        Power measured at the 1% monitor port, in mW.
-    budget : LossBudget
-        Loss ledger supplying the drop-to-tap path loss.
-
-    Returns
-    -------
-    float or ndarray
-        Estimated power at the ring drop port, in mW.
-    """
-    tap_power_mw = np.asarray(tap_power_mw, dtype=float)
-    if np.any(tap_power_mw < 0.0):
-        raise ValueError("tap_power_mw must be >= 0")
-    path = 10.0 ** (budget.ring_to_tap_db / 10.0)
-    result = tap_power_mw * 100.0 * path
-    return float(result) if result.ndim == 0 else result
 
 
 def default_gain_model() -> GainModel:

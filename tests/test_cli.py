@@ -7,17 +7,21 @@ modules a fresh process imports.
 
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopfwm
 from loopfwm.cli import main
-from loopfwm.csvio import read_columns, read_table
+from loopfwm.csvio import read_table
 
 
 def config_dict() -> dict:
@@ -71,6 +75,11 @@ def small_config(tmp_path):
     return path
 
 
+def column(path, name: str) -> np.ndarray:
+    header, data, _ = read_table(path)
+    return data[:, header.index(name)]
+
+
 def report_fields(path) -> dict:
     fields = {}
     for line in path.read_text(encoding="utf-8").splitlines():
@@ -88,9 +97,9 @@ class TestRingSpectrum:
     def test_through_port_dips_below_five_percent(self, tmp_path):
         out = tmp_path / "run"
         assert main(["ring-spectrum", "--out", str(out)]) == 0
-        (through,) = read_columns(out / "through.csv", ("through",))
+        through = column(out / "through.csv", "through")
         assert float(through.min()) < 0.05
-        (drop,) = read_columns(out / "drop.csv", ("drop",))
+        drop = column(out / "drop.csv", "drop")
         assert float(drop.max()) <= 1.0
 
     def test_zero_span_rejected(self, tmp_path):
@@ -112,6 +121,18 @@ class TestRingSpectrum:
             ["ring-spectrum", "--out", str(tmp_path / "run"), "--resolution-pm", "0"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("bound", ["--stop-nm=inf", "--start-nm=-inf", "--stop-nm=nan"])
+    def test_nonfinite_bounds_rejected(self, tmp_path, bound):
+        assert main(["ring-spectrum", "--out", str(tmp_path / "run"), bound]) == 2
+        assert not (tmp_path / "run" / "through.csv").exists()
+
+    @pytest.mark.parametrize("start", ["-5", "0"])
+    def test_nonpositive_start_rejected(self, tmp_path, capsys, start):
+        argv = ["ring-spectrum", "--out", str(tmp_path / "run")]
+        assert main(argv + ["--start-nm", start, "--stop-nm", "5"]) == 2
+        assert "start wavelength must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "through.csv").exists()
 
     def test_halving_resolution_doubles_rows(self, tmp_path):
         coarse, fine = tmp_path / "coarse", tmp_path / "fine"
@@ -147,8 +168,8 @@ class TestLaserCurve:
         clean_dir, tpa_dir = tmp_path / "clean", tmp_path / "tpa"
         assert main(["laser-curve", "--out", str(clean_dir)]) == 0
         assert main(["laser-curve", "--out", str(tpa_dir), "--tpa"]) == 0
-        (clean,) = read_columns(clean_dir / "laser_curve.csv", ("drop_power_mw",))
-        (bent,) = read_columns(tpa_dir / "laser_curve.csv", ("drop_power_mw",))
+        clean = column(clean_dir / "laser_curve.csv", "drop_power_mw")
+        bent = column(tpa_dir / "laser_curve.csv", "drop_power_mw")
         assert clean[-1] - bent[-1] > 0.0
 
     def test_tpa_threshold_zoom(self, tmp_path):
@@ -156,10 +177,18 @@ class TestLaserCurve:
         argv = ["laser-curve", "--out", str(out), "--tpa", "0.02"]
         argv += ["--start-ma", "90.0", "--stop-ma", "90.004", "--step-ma", "0.0005"]
         assert main(argv) == 0
-        (drop,) = read_columns(out / "laser_curve.csv", ("drop_power_mw",))
+        drop = column(out / "laser_curve.csv", "drop_power_mw")
         assert drop.size == 9
         assert drop[0] == 0.0
         assert np.all(drop[1:] > 0.0)
+
+    @pytest.mark.parametrize(
+        "bound", ["--stop-ma=inf", "--start-ma=nan", "--step-ma=inf", "--tpa=nan", "--tpa=inf"]
+    )
+    def test_nonfinite_arguments_rejected(self, tmp_path, bound):
+        # Rejected before the sweep runs, so no curve of nan powers is written.
+        assert main(["laser-curve", "--out", str(tmp_path / "run"), bound]) == 2
+        assert not (tmp_path / "run" / "laser_curve.csv").exists()
 
     @pytest.mark.parametrize("extra", [[], ["--tpa", "0"]])
     def test_zero_loss_loop_rejected(self, tmp_path, capsys, extra):
@@ -194,6 +223,21 @@ class TestFwmSweep:
     def test_single_point_rejected(self, tmp_path):
         code = main(["fwm-sweep", "--out", str(tmp_path / "run"), "--points", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--fixed-mw=inf"],
+            ["--fixed-mw=nan"],
+            ["--stop-mw=inf"],
+            ["--stop-mw=nan"],
+            ["--start-mw=1e-200", "--stop-mw=1e-100"],
+            ["--axis=pump", "--start-mw=1e-300", "--stop-mw=1e300"],
+        ],
+    )
+    def test_degenerate_powers_rejected(self, tmp_path, extra):
+        assert main(["fwm-sweep", "--out", str(tmp_path / "run")] + extra) == 2
+        assert not (tmp_path / "run" / "fwm_sweep.csv").exists()
 
 
 class TestJsd:
@@ -321,6 +365,103 @@ class TestDeterminism:
         assert main(["fwm-sweep", "--out", str(out), "--seed", "7"]) == 0
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["seed"] == 7
+
+
+# Edge values for every float flag; ``None`` leaves the flag at its default.
+FLOAT_EDGES = (None, "0", "-1", "nan", "inf", "-inf", "1e300", "1e-300")
+# Window bounds are passed as a separate pair of words, where argparse would
+# read "-inf" as an option, so the window draws from the other edges.
+WINDOW_EDGES = ("0", "-1", "nan", "inf", "1e300", "1e-300", "1554.4", "1557.4")
+# Integer flags draw only small values: no run asks for a grid larger than
+# the defaults.
+INT_EDGES = (None, "-1", "0", "1", "2", "97")
+NONFINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+def flags(**choices) -> st.SearchStrategy[list[str]]:
+    """``--flag=value`` words for each flag whose drawn value is not None."""
+    words = [
+        st.sampled_from(edges).map(
+            lambda value, name=name: [] if value is None else [f"--{name}={value}"]
+        )
+        for name, edges in choices.items()
+    ]
+    return st.tuples(*words).map(lambda parts: [word for part in parts for word in part])
+
+
+@pytest.fixture(scope="module")
+def fit_inputs(tmp_path_factory):
+    """A default drop spectrum and lasing curve for ``fit`` to read."""
+    root = tmp_path_factory.mktemp("fit_inputs")
+    assert main(["ring-spectrum", "--out", str(root)]) == 0
+    assert main(["laser-curve", "--tpa", "--out", str(root)]) == 0
+    return root
+
+
+class TestArgvFuzz:
+    """Edge-value argv for every numeric flag: ``main`` returns a documented
+    exit code and never raises, and a successful run writes finite numbers."""
+
+    def run(self, argv: list[str]) -> None:
+        with tempfile.TemporaryDirectory() as scratch:
+            out = Path(scratch) / "run"
+            code = main(argv + ["--out", str(out)])
+            assert code in (0, 2, 3, 4), argv
+            if code != 0:
+                return
+            for path in sorted(out.iterdir()):
+                if path.name == "manifest.json":
+                    continue
+                # format_float spells a non-finite value nan, inf or -inf.
+                text = path.read_text(encoding="utf-8")
+                assert not NONFINITE.search(text), (argv, path.name)
+
+    seed = st.sampled_from(INT_EDGES).map(lambda v: [] if v is None else ["--seed", v])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        words=flags(**{"start-nm": FLOAT_EDGES, "stop-nm": FLOAT_EDGES,
+                       "resolution-pm": FLOAT_EDGES}),
+        seed=seed,
+    )
+    def test_ring_spectrum(self, words, seed):
+        self.run(["ring-spectrum"] + words + seed)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        words=flags(**{"start-ma": FLOAT_EDGES, "stop-ma": FLOAT_EDGES,
+                       "step-ma": FLOAT_EDGES, "cutoff-ma": FLOAT_EDGES,
+                       "tpa": FLOAT_EDGES}),
+        bare_tpa=st.booleans(),
+    )
+    def test_laser_curve(self, words, bare_tpa):
+        if bare_tpa and not any(word.startswith("--tpa=") for word in words):
+            words = words + ["--tpa"]
+        self.run(["laser-curve"] + words)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        axis=st.sampled_from(["pump", "signal"]),
+        words=flags(**{"start-mw": FLOAT_EDGES, "stop-mw": FLOAT_EDGES,
+                       "fixed-mw": FLOAT_EDGES, "points": INT_EDGES}),
+    )
+    def test_fwm_sweep(self, axis, words):
+        self.run(["fwm-sweep", "--axis", axis] + words)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        window=st.one_of(st.none(), st.tuples(st.sampled_from(WINDOW_EDGES),
+                                              st.sampled_from(WINDOW_EDGES))),
+        cutoff=flags(**{"cutoff-ma": FLOAT_EDGES}),
+        model=st.sampled_from(["lorentzian", "lasing"]),
+    )
+    def test_fit(self, fit_inputs, window, cutoff, model):
+        if model == "lorentzian":
+            argv = ["fit", str(fit_inputs / "drop.csv"), "--model", "lorentzian"]
+            argv += [] if window is None else ["--window-nm", *window]
+        else:
+            argv = ["fit", str(fit_inputs / "laser_curve.csv"), "--model", "lasing"] + cutoff
+        self.run(argv)
 
 
 def test_module_entry_point_runs():

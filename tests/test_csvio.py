@@ -6,7 +6,6 @@ import pytest
 from loopfwm.csvio import (
     CsvParseError,
     format_float,
-    read_columns,
     read_table,
     write_table,
 )
@@ -51,18 +50,6 @@ class TestRoundTrip:
         write_table(first, ("v",), (values,))
         write_table(second, ("v",), (values,))
         assert first.read_bytes() == second.read_bytes()
-
-    def test_read_columns_by_name(self, tmp_path):
-        path = tmp_path / "table.csv"
-        write_table(
-            path,
-            ("current_mA", "drop_power_mw", "tap_power_uw"),
-            (np.array([90.0, 100.0]), np.array([0.0, 0.26]), np.array([0.0, 1.1])),
-        )
-        (tap,) = read_columns(path, ("tap_power_uw",))
-        np.testing.assert_allclose(tap, [0.0, 1.1])
-        with pytest.raises(CsvParseError, match="not found"):
-            read_columns(path, ("missing",))
 
 
 class TestMalformedInput:

@@ -1,18 +1,27 @@
-"""Tests for spectrum/lasing-curve fitting and the regression helpers."""
+"""Tests for spectrum/lasing-curve fitting and the weighted line fit.
+
+The line fit is checked against the exact rational least-squares
+solution of the same floats, computed with :class:`fractions.Fraction`.
+"""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loopfwm.config import default_config_text, parse_config
 from loopfwm.fitting import (
     FitParameter,
     FitReport,
     Spectrum,
     fit_lasing_curve,
     fit_lorentzian,
-    linear_least_squares,
     lorentzian_profile,
+    weighted_line,
 )
-from loopfwm.instrument import centered_grid
+from loopfwm.instrument import centered_grid, range_grid
 from loopfwm.laser import (
     LossBudget,
     default_gain_model,
@@ -209,31 +218,51 @@ class TestLorentzianFit:
         assert report.points_excluded > 0
 
 
+def exact_line(xs, ys, weights) -> tuple[Fraction, Fraction]:
+    """Exact weighted least-squares slope and intercept of the given floats."""
+    x = [Fraction(float(v)) for v in xs]
+    y = [Fraction(float(v)) for v in ys]
+    w = [Fraction(float(v)) for v in weights]
+    s0 = sum(w)
+    sx = sum(wi * xi for wi, xi in zip(w, x))
+    sy = sum(wi * yi for wi, yi in zip(w, y))
+    sxx = sum(wi * xi * xi for wi, xi in zip(w, x))
+    sxy = sum(wi * xi * yi for wi, xi, yi in zip(w, x, y))
+    slope = (s0 * sxy - sx * sy) / (s0 * sxx - sx * sx)
+    return slope, (sy - slope * sx) / s0
+
+
+def assert_close_to_exact(got: float, exact: Fraction, rel: float = 1e-12) -> None:
+    assert abs(Fraction(got) - exact) <= rel * abs(exact)
+
+
 class TestLinearLeastSquares:
     def test_exact_line(self):
         xs = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        report = linear_least_squares(xs, 2.0 * xs + 1.0)
-        assert report.value("slope") == pytest.approx(2.0, abs=1e-14)
-        assert report.value("intercept") == pytest.approx(1.0, abs=1e-14)
-        assert report.residual_rms < 1e-13
-        assert report.sigma("slope") < 1e-13
+        slope, intercept, covariance = weighted_line(xs, 2.0 * xs + 1.0, np.ones(5))
+        assert slope == pytest.approx(2.0, abs=1e-14)
+        assert intercept == pytest.approx(1.0, abs=1e-14)
+        assert np.sqrt(covariance[0, 0]) < 1e-13
 
     def test_two_point_line_is_exact(self):
-        report = linear_least_squares(np.array([1.0, 3.0]), np.array([3.0, 7.0]))
-        assert report.value("slope") == pytest.approx(2.0, abs=1e-14)
-        assert report.value("intercept") == pytest.approx(1.0, abs=1e-14)
-        assert report.sigma("slope") == 0.0
-        assert report.sigma("intercept") == 0.0
+        slope, intercept, covariance = weighted_line(
+            np.array([1.0, 3.0]), np.array([3.0, 7.0]), np.ones(2)
+        )
+        assert slope == pytest.approx(2.0, abs=1e-14)
+        assert intercept == pytest.approx(1.0, abs=1e-14)
+        assert np.all(covariance == 0.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(0.0, 10.0, size=25)
         ys = 1.7 * xs - 0.3 + rng.normal(0.0, 0.2, size=25)
+        weights = rng.uniform(0.1, 3.0, size=25)
         order = rng.permutation(25)
-        a = linear_least_squares(xs, ys)
-        b = linear_least_squares(xs[order], ys[order])
-        assert b.value("slope") == pytest.approx(a.value("slope"), rel=1e-12)
-        assert b.value("intercept") == pytest.approx(a.value("intercept"), rel=1e-12)
+        a = weighted_line(xs, ys, weights)
+        b = weighted_line(xs[order], ys[order], weights[order])
+        assert b[0] == pytest.approx(a[0], rel=1e-12)
+        assert b[1] == pytest.approx(a[1], rel=1e-12)
+        np.testing.assert_allclose(b[2], a[2], rtol=1e-10)
 
     def test_matches_matrix_solution(self):
         rng = np.random.default_rng(19)
@@ -242,31 +271,98 @@ class TestLinearLeastSquares:
             xs = rng.uniform(-5.0, 5.0, size=n)
             ys = rng.normal(size=n)
             weights = rng.uniform(0.1, 3.0, size=n)
-            report = linear_least_squares(xs, ys, weights)
+            slope, intercept, covariance = weighted_line(xs, ys, weights)
             scaled = np.sqrt(weights)
             design = np.column_stack([xs, np.ones(n)]) * scaled[:, None]
             params, *_ = np.linalg.lstsq(design, ys * scaled, rcond=None)
-            assert report.value("slope") == pytest.approx(params[0], rel=1e-10, abs=1e-12)
-            assert report.value("intercept") == pytest.approx(params[1], rel=1e-10, abs=1e-12)
+            assert slope == pytest.approx(params[0], rel=1e-10, abs=1e-12)
+            assert intercept == pytest.approx(params[1], rel=1e-10, abs=1e-12)
             residual = ys - (params[0] * xs + params[1])
             scale = float(weights @ residual**2) / (n - 2)
-            covariance = scale * np.linalg.inv(design.T @ design)
-            assert report.sigma("slope") == pytest.approx(
-                np.sqrt(covariance[0, 0]), rel=1e-8
-            )
-            assert report.sigma("intercept") == pytest.approx(
-                np.sqrt(covariance[1, 1]), rel=1e-8
-            )
+            expected = scale * np.linalg.inv(design.T @ design)
+            np.testing.assert_allclose(covariance, expected, rtol=1e-8)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
-            linear_least_squares(np.array([1.0]), np.array([2.0]))
+            weighted_line(np.array([1.0]), np.array([2.0]), np.ones(1))
         with pytest.raises(ValueError, match="no spread"):
-            linear_least_squares(np.array([2.0, 2.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+            weighted_line(np.full(3, 2.0), np.array([1.0, 2.0, 3.0]), np.ones(3))
         with pytest.raises(ValueError, match="weights"):
-            linear_least_squares(
-                np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([1.0, -1.0])
-            )
+            weighted_line(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="weights"):
+            weighted_line(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.zeros(2))
+        with pytest.raises(ValueError, match="finite"):
+            weighted_line(np.array([1.0, 2.0]), np.array([1.0, np.inf]), np.ones(2))
+        with pytest.raises(ValueError, match="1-D"):
+            weighted_line(np.ones(3), np.ones(2), np.ones(3))
+
+
+def zoom_curve() -> tuple[np.ndarray, np.ndarray]:
+    """The threshold zoom of ``laser-curve --tpa 0.02 --start-ma 90
+    --stop-ma 90.004 --step-ma 0.0005``: 9 currents a few microamps apart
+    at a 90 mA offset, with the first one dark."""
+    config = parse_config(default_config_text())
+    currents = range_grid(90.0, 90.004, 0.0005)
+    powers = np.array(
+        [
+            steady_state_roundtrip(
+                config.gain, config.budget, current, tpa_db_per_mw=0.02
+            ).drop_port_power_mw
+            for current in currents
+        ]
+    )
+    return currents, powers
+
+
+@st.composite
+def offset_lines(draw):
+    """Noisy lines whose x values sit 2 to 1e4 spreads away from zero,
+    with the x-intercept between zero and the data, as on a lasing curve."""
+    n = draw(st.integers(min_value=3, max_value=40))
+    spread = draw(st.floats(min_value=1e-6, max_value=1e3))
+    offset = spread * draw(st.floats(min_value=2.0, max_value=1e4))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    positions = [0.0, 1.0] + draw(st.lists(unit, min_size=n - 2, max_size=n - 2))
+    xs = offset + spread * np.array(positions)
+    root = offset - spread * draw(st.floats(min_value=0.5, max_value=1.0))
+    slope = draw(st.floats(min_value=0.1, max_value=10.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    noise = 1e-3 * abs(slope) * spread
+    jitter = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    ys = slope * (xs - root) + noise * jitter
+    weights = np.array(draw(st.lists(st.floats(1e-2, 1e2), min_size=n, max_size=n)))
+    return xs, ys, weights
+
+
+class TestExactReference:
+    """``weighted_line`` against the exact rational fit of the same floats."""
+
+    def test_laser_zoom_matches_exact(self):
+        currents, powers = zoom_curve()
+        lit = powers > 0.0
+        assert np.count_nonzero(lit) == 8
+        slope, intercept, _ = weighted_line(currents[lit], powers[lit], np.ones(8))
+        exact_slope, exact_intercept = exact_line(currents[lit], powers[lit], np.ones(8))
+        assert_close_to_exact(slope, exact_slope)
+        assert_close_to_exact(intercept, exact_intercept)
+
+    def test_lasing_fit_of_zoom_matches_exact(self):
+        currents, powers = zoom_curve()
+        report = fit_lasing_curve(currents, powers)
+        assert report.points_used == 8
+        lit = powers > 0.0
+        exact_slope, exact_intercept = exact_line(currents[lit], powers[lit], np.ones(8))
+        assert_close_to_exact(report.value("slope_mw_per_ma"), exact_slope)
+        assert_close_to_exact(report.value("intercept_mw"), exact_intercept)
+        assert_close_to_exact(report.value("threshold_ma"), -exact_intercept / exact_slope)
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=offset_lines())
+    def test_offset_lines_match_exact(self, case):
+        xs, ys, weights = case
+        slope, intercept, _ = weighted_line(xs, ys, weights)
+        exact_slope, exact_intercept = exact_line(xs, ys, weights)
+        assert_close_to_exact(slope, exact_slope)
+        assert_close_to_exact(intercept, exact_intercept)
 
 
 class TestLasingCurveFit:

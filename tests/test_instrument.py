@@ -11,7 +11,6 @@ from scipy.ndimage import convolve1d
 
 from loopfwm.instrument import (
     FWHM_PER_SIGMA,
-    apply_resolution,
     centered_grid,
     convolve_conserving,
     gaussian_kernel,
@@ -125,7 +124,8 @@ class TestConvolution:
         input_fwhm = 0.3
         sigma_in = input_fwhm / FWHM_PER_SIGMA
         line = np.exp(-0.5 * (grid / sigma_in) ** 2)
-        blurred = apply_resolution(line, step, resolution_fwhm_nm=0.4)
+        kernel = gaussian_kernel(step, 0.4, max_halfwidth=(grid.size - 1) // 2)
+        blurred = convolve_conserving(line, kernel)
         # Fit the output sigma from the second moment.
         sigma_out = math.sqrt(np.sum(blurred * grid**2) / blurred.sum())
         expected = math.hypot(0.3, 0.4) / FWHM_PER_SIGMA

@@ -124,24 +124,12 @@ class TestJsa:
 
     def test_rejects_zero_matrix(self):
         with pytest.raises(ValueError, match="zero"):
-            JointAmplitude(
-                matrix=np.zeros((4, 4), dtype=complex),
-                grid=SQUARE_GRID,
-                pump_linewidth_ghz=1.0,
-                signal_linewidth_ghz=GAMMA_GHZ,
-                idler_linewidth_ghz=GAMMA_GHZ,
-            )
+            JointAmplitude(np.zeros((4, 4), dtype=complex))
 
 
 class TestSchmidt:
     def random_joint(self, matrix: np.ndarray) -> JointAmplitude:
-        return JointAmplitude(
-            matrix=matrix,
-            grid=SQUARE_GRID,
-            pump_linewidth_ghz=1.0,
-            signal_linewidth_ghz=GAMMA_GHZ,
-            idler_linewidth_ghz=GAMMA_GHZ,
-        )
+        return JointAmplitude(matrix)
 
     def test_rank_one_is_pure(self):
         rng = np.random.default_rng(37)

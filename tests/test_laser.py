@@ -21,7 +21,6 @@ from loopfwm.laser import (
     LossElement,
     NoLasingError,
     default_gain_model,
-    drop_power_from_tap,
     output_power_curve,
     saturated_single_pass_gain,
     steady_state_roundtrip,
@@ -338,14 +337,18 @@ class TestRootProperties:
 
 
 class TestTapInversion:
+    """The tap reading, scaled back through the 99:1 split and the
+    drop-to-tap path of the ledger, recovers the drop-port power."""
+
     def test_microwatt_example(self):
-        # 1 uW at the tap, 7.1 dB drop-to-tap path: 100 uW * 10**0.71.
-        assert drop_power_from_tap(1e-3, BUDGET) == pytest.approx(0.5128613839913648)
+        # 7.1 dB drop-to-tap path: 1 uW at the tap is 100 uW * 10**0.71.
+        point = steady_state_roundtrip(GAIN, BUDGET, 140.0)
+        ratio = point.drop_port_power_mw / point.tap_power_mw
+        assert ratio * 1e-3 == pytest.approx(0.5128613839913648, rel=1e-12)
 
     def test_round_trip_identity(self):
-        point = steady_state_roundtrip(GAIN, BUDGET, 140.0)
-        recovered = drop_power_from_tap(point.tap_power_mw, BUDGET)
-        assert recovered == pytest.approx(point.drop_port_power_mw, rel=1e-12)
-
-    def test_zero(self):
-        assert drop_power_from_tap(0.0, BUDGET) == 0.0
+        path = 100.0 * 10.0 ** (BUDGET.ring_to_tap_db / 10.0)
+        for tpa in (0.0, 0.02):
+            point = steady_state_roundtrip(GAIN, BUDGET, 140.0, tpa_db_per_mw=tpa)
+            recovered = point.tap_power_mw * path
+            assert recovered == pytest.approx(point.drop_port_power_mw, rel=1e-12)
