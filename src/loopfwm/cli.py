@@ -321,15 +321,17 @@ def _cmd_fwm_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"fixed power must be positive and finite, got {args.fixed_mw}")
 
     values = np.geomspace(args.start_mw, args.stop_mw, args.points)
-    idler = conversion_sweep(
-        args.axis,
-        values,
-        args.fixed_mw,
-        config.triplet,
-        config.geometry,
-        config.coupling,
-        config.gamma_per_w_m,
-    )
+    # An overflow shows as a non-finite power, which the check below rejects.
+    with np.errstate(over="ignore"):
+        idler = conversion_sweep(
+            args.axis,
+            values,
+            args.fixed_mw,
+            config.triplet,
+            config.geometry,
+            config.coupling,
+            config.gamma_per_w_m,
+        )
     if not np.all(np.isfinite(idler) & (idler > 0.0)):
         raise ConfigError(
             "idler power is not finite and positive over the sweep "

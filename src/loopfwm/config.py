@@ -16,6 +16,7 @@ was loaded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -310,6 +311,8 @@ def _parse_instrument(section: dict) -> tuple[float, float]:
         raise ConfigError(
             f"'instrument.spectrum_resolution_pm' must be positive, got {spectrum_res}"
         )
-    if jsd_res < 0.0:
-        raise ConfigError(f"'instrument.jsd_resolution_pm' must be >= 0, got {jsd_res}")
+    if not 0.0 <= jsd_res < math.inf:
+        raise ConfigError(
+            f"'instrument.jsd_resolution_pm' must be finite and >= 0, got {jsd_res}"
+        )
     return spectrum_res, jsd_res

@@ -22,6 +22,7 @@ covariance at the optimum, scaled by the reduced chi-square.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -446,6 +447,11 @@ def fit_lasing_curve(
         )
     if float(powers[included].max()) <= 0.0:
         raise ValueError("all points are below threshold; no lasing slope to fit")
+    # Fit in a power-of-two unit of power near the peak.  The rescaling is
+    # exact, so it changes no result, and it keeps squared powers and slopes
+    # in floating-point range for any finite data.
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(powers))))[1])
+    powers = powers / unit
 
     for _ in range(currents.size):
         slope, intercept, covariance = weighted_line(
@@ -470,14 +476,18 @@ def fit_lasing_curve(
     residuals = powers[included] - (slope * currents[included] + intercept)
 
     parameters = {
-        "slope_mw_per_ma": FitParameter(slope, float(np.sqrt(max(covariance[0, 0], 0.0)))),
-        "intercept_mw": FitParameter(intercept, float(np.sqrt(max(covariance[1, 1], 0.0)))),
+        "slope_mw_per_ma": FitParameter(
+            slope * unit, float(np.sqrt(max(covariance[0, 0], 0.0))) * unit
+        ),
+        "intercept_mw": FitParameter(
+            intercept * unit, float(np.sqrt(max(covariance[1, 1], 0.0))) * unit
+        ),
         "threshold_ma": FitParameter(float(threshold), threshold_sigma),
     }
     used = int(np.count_nonzero(included))
     return FitReport(
         parameters=parameters,
-        residual_rms=float(np.sqrt(np.mean(np.square(residuals)))),
+        residual_rms=float(np.sqrt(np.mean(np.square(residuals)))) * unit,
         points_used=used,
         points_excluded=int(currents.size - used),
         model="lasing",

@@ -20,6 +20,20 @@ import numpy as np
 #: Ratio between the FWHM and standard deviation of a Gaussian.
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
+#: Most points a grid may have: 166 times the 60,001 points of the densest
+#: benchmark grid, and 80 MB per float64 array.  A larger count comes from a
+#: mistyped step, and is rejected before anything is allocated.
+MAX_GRID_POINTS = 10_000_000
+
+
+def _check_point_count(intervals: float) -> None:
+    """Reject a grid of ``intervals`` steps that exceeds :data:`MAX_GRID_POINTS`."""
+    if not intervals + 1.0 <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid would have {intervals + 1.0:.4g} points, more than the "
+            f"{MAX_GRID_POINTS:,} allowed; use a coarser step"
+        )
+
 
 def centered_grid(center_nm: float, span_nm: float, step_nm: float) -> np.ndarray:
     """Uniform wavelength grid of the given span centered on ``center_nm``.
@@ -32,7 +46,9 @@ def centered_grid(center_nm: float, span_nm: float, step_nm: float) -> np.ndarra
         raise ValueError(f"step_nm must be positive, got {step_nm}")
     if span_nm <= 0.0:
         raise ValueError(f"span_nm must be positive, got {span_nm}")
-    count = int(round(span_nm / step_nm)) + 1
+    intervals = span_nm / step_nm
+    _check_point_count(intervals)
+    count = int(round(intervals)) + 1
     offsets = (np.arange(count) - (count - 1) / 2.0) * step_nm
     return center_nm + offsets
 
@@ -48,7 +64,9 @@ def range_grid(start_nm: float, stop_nm: float, step_nm: float) -> np.ndarray:
         raise ValueError(f"step_nm must be positive, got {step_nm}")
     if stop_nm <= start_nm:
         raise ValueError(f"stop_nm must exceed start_nm, got [{start_nm}, {stop_nm}]")
-    count = int(math.floor((stop_nm - start_nm) / step_nm + 1e-9)) + 1
+    intervals = (stop_nm - start_nm) / step_nm
+    _check_point_count(intervals)
+    count = int(math.floor(intervals + 1e-9)) + 1
     return start_nm + np.arange(count) * step_nm
 
 

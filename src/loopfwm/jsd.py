@@ -14,12 +14,14 @@ Conventions
 * The joint matrix is indexed ``[signal, idler]``: each row is the idler
   spectrum recorded at one signal-laser setting.
 * A narrow pump makes the two-photon ridge far sharper than any
-  practical scan step, so the scan simulation supersamples the idler
-  axis and box-averages back to the requested grid before applying the
-  instrument kernel; sampling the ridge at cell centers alone would
-  alias it.  The blur is :func:`loopfwm.instrument.convolve_conserving`
-  along the idler axis, with wrap-around edges so each row keeps its
-  mass.
+  practical scan step, so sampling it at cell centers would alias it.
+  The scan simulation instead records each idler cell's exact mean
+  intensity: ``c/lambda`` is linear across a cell to about 1e-5, so
+  the mean is the integral of a product of two Lorentzians in the idler
+  detuning between the cell edges, divided by the cell width, which
+  partial fractions give in closed form.  The blur is
+  :func:`loopfwm.instrument.convolve_conserving` along the idler axis,
+  with wrap-around edges so each row keeps its mass.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ from loopfwm.ring import SPEED_OF_LIGHT_NM_GHZ
 #: resonances; this free parameter controls how tightly the measured
 #: ridge hugs the energy-conservation line.
 DEFAULT_PUMP_LINEWIDTH_GHZ = 0.05
-
-_SUPERSAMPLE_LIMIT = 512
-_ROW_BLOCK_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -63,6 +62,9 @@ class SpectralAxis:
     step_pm: float
 
     def __post_init__(self) -> None:
+        for name in ("center_nm", "span_nm", "step_pm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.center_nm <= 0.0:
             raise ValueError(f"center_nm must be positive, got {self.center_nm}")
         if self.step_pm <= 0.0:
@@ -327,6 +329,67 @@ def ridge_fit(
     return RidgeFit(slope=slope, intercept_nm=intercept, rms_width_nm=width)
 
 
+def _log1p_over(z: np.ndarray) -> np.ndarray:
+    """``log1p(z)/z`` for complex ``z``, with its limit 1 at ``z = 0``.
+
+    numpy's complex ``log1p`` takes the real part as ``log|1+z|``, which
+    loses the low digits of a small ``z``; ``0.5*log1p(2x + x^2 + y^2)``
+    keeps them.
+    """
+    x, y = z.real, z.imag
+    log1p = np.empty_like(z)
+    log1p.real = 0.5 * np.log1p(x * (2.0 + x) + y * y)
+    log1p.imag = np.arctan2(y, 1.0 + x)
+    return np.divide(log1p, z, out=np.ones_like(z), where=z != 0.0)
+
+
+def _idler_cell_mean(
+    shift: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
+    pump_linewidth_ghz: float,
+    idler_half_width_ghz: float,
+) -> np.ndarray:
+    """Mean of ``|phi_2p(y + a)|^2 * |l_i(y)|^2`` over ``low <= y <= high``.
+
+    With ``d = pump_linewidth_ghz``, ``h = idler_half_width_ghz`` and
+    ``a = shift``, the integrand ``d^2 h^2 / (((y+a)^2 + d^2) (y^2 + h^2))``
+    has the poles ``p = -a + i*d`` and ``q = i*h`` in the upper half plane
+    and their conjugates below, so its integral is twice the real part of
+    the residue terms of ``p`` and ``q``.  Summed, those two terms are a
+    divided difference over ``(p, q)``; with ``s = d + h``,
+    ``W = high - low`` and ``E(z) = log1p(z)/z``, the mean is
+
+        d*s/(a^2 + s^2) * h*theta/W + Im[d/(a + i*s) * P * E(w) * h/(high - q)]
+
+    where ``theta = arg((high - p)/(low - p))`` is the pump Lorentzian's
+    arctan difference, ``P = d/(low - p)`` and
+    ``w = W*(p - q)/((low - p)*(high - q))``.  ``1 + w`` is the ratio of
+    the two poles' edge ratios, so ``log1p(w)/(p - q)`` is the divided
+    difference of their edge logarithms, and ``E(w)`` writes it without
+    dividing by ``p - q``.  Neither term is a difference of two
+    logarithms, so nothing is lost between close cell edges or close
+    poles, and where ``p`` meets ``q`` (``a = 0`` and ``d = h``) the pair
+    term takes the limit ``E(0) = 1``.  Every factor is bounded, so no
+    linewidth overflows it.  Far from both lines the two terms nearly
+    cancel, so there the relative rounding error grows as the cube of the
+    distance, in cells that hold almost nothing.
+
+    ``shift`` broadcasts against the cell edges.
+    """
+    d = pump_linewidth_ghz
+    h = idler_half_width_ghz
+    s = d + h
+    width = high - low
+    low_sum = low + shift
+    theta = np.arctan2(width, low_sum * (high + shift) / d + d)
+    pump = d / (low_sum - 1j * d)
+    idler = h / (high - 1j * h)
+    w = pump * ((1j * (d - h) - shift) / d) * (width / h * idler)
+    pair = d / (shift + 1j * s) * pump * _log1p_over(w) * idler
+    return (d / s) / (1.0 + (shift / s) ** 2) * theta * (h / width) + pair.imag
+
+
 def simulate_jsd_scan(
     grid: SpectralGrid,
     triplet: FwmTriplet,
@@ -338,13 +401,18 @@ def simulate_jsd_scan(
     """Simulate the scanned stimulated-idler measurement.
 
     For each signal-laser wavelength on the grid, the generated idler
-    spectrum is the joint intensity slice at that signal detuning.  The
-    two-photon ridge can be orders of magnitude narrower than the scan
-    step, so each coarse idler cell is supersampled at cell-centered
-    subpoints and box-averaged, which conserves the slice mass.  The
-    instrument response then blurs each idler spectrum with
+    spectrum is the joint intensity slice
+    ``|phi_2p(Omega_s + Omega_i - offset)|^2 * |l_i(Omega_i)|^2 *
+    |l_s(Omega_s)|^2`` at that signal detuning, with the lineshapes of
+    :func:`two_photon_pump_lineshape` and :func:`resonance_lineshape`.
+    The two-photon ridge can be orders of magnitude narrower than the
+    scan step, so each idler cell holds the slice's exact mean over the
+    cell, taken in closed form between the cell-edge detunings (see
+    :func:`_idler_cell_mean`); the cells tile the idler span, so a row's
+    cell integrals sum to its integral over the span.  The instrument
+    response then blurs each idler spectrum with
     :func:`loopfwm.instrument.convolve_conserving` (wrap-around edges,
-    so the blur conserves each row's mass too).
+    so the blur conserves each row's mass).
 
     Parameters
     ----------
@@ -370,11 +438,20 @@ def simulate_jsd_scan(
     Raises
     ------
     ValueError
-        If either axis fails to cover its resonance.
+        If a linewidth is not positive and finite, the resolution is
+        negative or not finite, or either axis fails to cover its
+        resonance.
     """
-    if resolution_fwhm_pm < 0.0:
+    for name, width in (
+        ("pump_linewidth_ghz", pump_linewidth_ghz),
+        ("signal_linewidth_ghz", signal_linewidth_ghz),
+        ("idler_linewidth_ghz", idler_linewidth_ghz),
+    ):
+        if not 0.0 < width < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {width}")
+    if not 0.0 <= resolution_fwhm_pm < math.inf:
         raise ValueError(
-            f"resolution_fwhm_pm must be >= 0, got {resolution_fwhm_pm}"
+            f"resolution_fwhm_pm must be finite and >= 0, got {resolution_fwhm_pm}"
         )
     signal_axis = grid.signal.wavelengths_nm()
     idler_axis = grid.idler.wavelengths_nm()
@@ -389,44 +466,27 @@ def simulate_jsd_scan(
             )
 
     step_nm = grid.idler.step_nm
-    # Resolve the two-photon ridge: its intensity FWHM on the idler axis
-    # in wavelength terms, taken at the idler resonance.
-    ridge_fwhm_nm = (
-        2.0 * pump_linewidth_ghz * triplet.idler_nm**2 / SPEED_OF_LIGHT_NM_GHZ
+    # Detuning falls as the wavelength grows, so edge k+1 is the low end
+    # of cell k.
+    edges = detuning_ghz(
+        np.append(idler_axis - step_nm / 2.0, idler_axis[-1] + step_nm / 2.0),
+        triplet.idler_nm,
     )
-    target_nm = max(ridge_fwhm_nm / 4.0, 0.05e-3)
-    supersample = int(min(max(math.ceil(step_nm / target_nm), 1), _SUPERSAMPLE_LIMIT))
-
-    fine_offsets = (np.arange(supersample) + 0.5) / supersample - 0.5
-    fine_idler = (idler_axis[:, None] + fine_offsets[None, :] * step_nm).ravel()
-    omega_i_fine = detuning_ghz(fine_idler, triplet.idler_nm)
     omega_s = detuning_ghz(signal_axis, triplet.signal_nm)
     sum_offset = float(SPEED_OF_LIGHT_NM_GHZ * triplet.energy_residual_per_nm)
-
-    idler_filter = np.abs(
-        resonance_lineshape(omega_i_fine, idler_linewidth_ghz)
-    ) ** 2
     signal_filter = np.abs(
         resonance_lineshape(omega_s, signal_linewidth_ghz)
     ) ** 2
-
-    n_signal = signal_axis.size
-    n_idler = idler_axis.size
-    result = np.empty((n_signal, n_idler))
-    block = max(1, _ROW_BLOCK_ENTRIES // max(omega_i_fine.size, 1))
-    for start in range(0, n_signal, block):
-        stop = min(start + block, n_signal)
-        sum_detuning = (
-            omega_s[start:stop, None] + omega_i_fine[None, :] - sum_offset
-        )
-        pump_intensity = np.abs(
-            two_photon_pump_lineshape(sum_detuning, pump_linewidth_ghz)
-        ) ** 2
-        rows = pump_intensity * idler_filter[None, :]
-        rows = rows.reshape(stop - start, n_idler, supersample).mean(axis=2)
-        result[start:stop] = rows * signal_filter[start:stop, None]
+    result = _idler_cell_mean(
+        (omega_s - sum_offset)[:, None],
+        edges[1:],
+        edges[:-1],
+        pump_linewidth_ghz,
+        idler_linewidth_ghz / 2.0,
+    ) * signal_filter[:, None]
 
     if resolution_fwhm_pm > 0.0:
+        n_idler = idler_axis.size
         kernel = gaussian_kernel(
             step_nm, resolution_fwhm_pm * 1e-3, max_halfwidth=(n_idler - 1) // 2
         )

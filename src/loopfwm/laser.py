@@ -78,8 +78,10 @@ class LossBudget:
     def __post_init__(self) -> None:
         if len(self.elements) == 0:
             raise ValueError("loss budget needs at least one element")
-        if self.ring_insertion_db < 0.0:
-            raise ValueError(f"ring_insertion_db must be >= 0, got {self.ring_insertion_db}")
+        if not 0.0 <= self.ring_insertion_db < math.inf:
+            raise ValueError(
+                f"ring_insertion_db must be finite and >= 0, got {self.ring_insertion_db}"
+            )
         if not 0 <= self.ring_index <= len(self.elements):
             raise ValueError(f"ring_index {self.ring_index} outside the element chain")
         if not 0 <= self.tap_index < len(self.elements):
@@ -160,9 +162,10 @@ class GainModel:
     def __post_init__(self) -> None:
         if self.db_per_ma <= 0.0:
             raise ValueError(f"db_per_ma must be positive, got {self.db_per_ma}")
-        if self.saturation_power_mw <= 0.0:
+        if not 0.0 < self.saturation_power_mw < math.inf:
             raise ValueError(
-                f"saturation_power_mw must be positive, got {self.saturation_power_mw}"
+                f"saturation_power_mw must be positive and finite, got "
+                f"{self.saturation_power_mw}"
             )
         if not 0.0 < self.max_small_signal_gain_db <= 30.0:
             raise ValueError(
@@ -303,6 +306,10 @@ def _clamped_power_mw(gain: GainModel, budget: LossBudget, g0_db):
     # Work the gain excess in dB so a calibration point sitting exactly
     # at threshold yields exactly zero.
     excess_np = np.clip(g0_db - budget.loop_db, 0.0, None) / DB_PER_NEPER
+    if not np.any(excess_np > 0.0):
+        # Nothing lases, and a loop loss above the gain cap may be too
+        # large for exp() below.
+        return excess_np
     g_threshold = math.exp(budget.loop_db / DB_PER_NEPER)
     return gain.saturation_power_mw * excess_np * g_threshold / (g_threshold - 1.0)
 

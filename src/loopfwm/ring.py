@@ -89,8 +89,13 @@ class RingGeometry:
         """
         if fsr_nm <= 0.0:
             raise ValueError(f"fsr_nm must be positive, got {fsr_nm}")
+        if radius_um <= 0.0:
+            raise ValueError(f"radius_um must be positive, got {radius_um}")
         circumference_nm = 2.0 * math.pi * radius_um * 1e3
-        group_index = wavelength_nm**2 / (fsr_nm * circumference_nm)
+        try:
+            group_index = wavelength_nm**2 / (fsr_nm * circumference_nm)
+        except OverflowError as exc:
+            raise ValueError(f"wavelength_nm {wavelength_nm} is out of range") from exc
         return cls(radius_um=radius_um, group_index=group_index)
 
 

@@ -6,6 +6,7 @@ modules a fresh process imports.
 """
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,11 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loopfwm
 from loopfwm.cli import main
+from loopfwm.config import default_config_text
 from loopfwm.csvio import read_table
 
 
@@ -121,6 +123,12 @@ class TestRingSpectrum:
             ["ring-spectrum", "--out", str(tmp_path / "run"), "--resolution-pm", "0"]
         )
         assert code == 2
+
+    def test_astronomical_grid_rejected(self, tmp_path, capsys):
+        # 6 nm at 1e-12 nm steps would be 6e12 points (43.7 TiB per array).
+        argv = ["ring-spectrum", "--out", str(tmp_path / "run"), "--resolution-pm", "1e-9"]
+        assert main(argv) == 2
+        assert "grid would have 6e+12 points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bound", ["--stop-nm=inf", "--start-nm=-inf", "--stop-nm=nan"])
     def test_nonfinite_bounds_rejected(self, tmp_path, bound):
@@ -398,23 +406,28 @@ def fit_inputs(tmp_path_factory):
     return root
 
 
+def run_edge_case(argv: list[str], scratch: Path) -> None:
+    """``main`` returns a documented exit code and never raises, and a
+    successful run writes finite numbers."""
+    out = scratch / "run"
+    code = main(argv + ["--out", str(out)])
+    assert code in (0, 2, 3, 4), argv
+    if code != 0:
+        return
+    for path in sorted(out.iterdir()):
+        if path.name == "manifest.json":
+            continue
+        # format_float spells a non-finite value nan, inf or -inf.
+        text = path.read_text(encoding="utf-8")
+        assert not NONFINITE.search(text), (argv, path.name)
+
+
 class TestArgvFuzz:
-    """Edge-value argv for every numeric flag: ``main`` returns a documented
-    exit code and never raises, and a successful run writes finite numbers."""
+    """Edge-value argv for every numeric flag."""
 
     def run(self, argv: list[str]) -> None:
         with tempfile.TemporaryDirectory() as scratch:
-            out = Path(scratch) / "run"
-            code = main(argv + ["--out", str(out)])
-            assert code in (0, 2, 3, 4), argv
-            if code != 0:
-                return
-            for path in sorted(out.iterdir()):
-                if path.name == "manifest.json":
-                    continue
-                # format_float spells a non-finite value nan, inf or -inf.
-                text = path.read_text(encoding="utf-8")
-                assert not NONFINITE.search(text), (argv, path.name)
+            run_edge_case(argv, Path(scratch))
 
     seed = st.sampled_from(INT_EDGES).map(lambda v: [] if v is None else ["--seed", v])
 
@@ -462,6 +475,59 @@ class TestArgvFuzz:
         else:
             argv = ["fit", str(fit_inputs / "laser_curve.csv"), "--model", "lasing"] + cutoff
         self.run(argv)
+
+
+def numeric_keys(node, path=()):
+    """Paths to every number in a parsed YAML document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from numeric_keys(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from numeric_keys(value, path + (index,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+CONFIG_KEYS = tuple(numeric_keys(yaml.safe_load(default_config_text())))
+CONFIG_EDGES = (0, -1, math.nan, math.inf, -math.inf, 1e300, 1e-300)
+
+
+class TestConfigFuzz:
+    """The default config with one numeric key set to an edge value."""
+
+    def test_every_number_is_a_key(self):
+        assert len(CONFIG_KEYS) == 32
+
+    # Pinned inputs whose arithmetic can raise: OverflowError from an
+    # infinite JSD axis or a huge resonance or loop loss, ZeroDivisionError
+    # from a zero radius or a tiny saturation power, and RuntimeWarning from
+    # an infinite ring loss or an infinite or huge saturation power.
+    @settings(deadline=None, max_examples=100)
+    @given(
+        command=st.sampled_from(["ring-spectrum", "laser-curve"]),
+        key=st.sampled_from(CONFIG_KEYS),
+        value=st.sampled_from(CONFIG_EDGES),
+    )
+    @example(command="laser-curve", key=("jsd", "signal_stop_nm"), value=math.inf)
+    @example(command="ring-spectrum", key=("ring", "radius_um"), value=0)
+    @example(command="ring-spectrum", key=("ring", "resonance_nm"), value=1e300)
+    @example(command="laser-curve", key=("loss_budget", "ring_insertion_db"), value=math.inf)
+    @example(command="laser-curve", key=("loss_budget", "ring_insertion_db"), value=1e300)
+    @example(command="laser-curve", key=("loss_budget", "elements", 0, "loss_db"), value=1e300)
+    @example(command="laser-curve", key=("gain", "saturation_power_mw"), value=math.inf)
+    @example(command="laser-curve", key=("gain", "saturation_power_mw"), value=1e300)
+    @example(command="laser-curve", key=("gain", "saturation_power_mw"), value=1e-300)
+    def test_one_key_at_an_edge(self, command, key, value):
+        config = yaml.safe_load(default_config_text())
+        node = config
+        for part in key[:-1]:
+            node = node[part]
+        node[key[-1]] = value
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "edge.yaml"
+            path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+            run_edge_case([command, "--config", str(path)], Path(scratch))
 
 
 def test_module_entry_point_runs():

@@ -144,6 +144,29 @@ class TestModuleInvariantsAtLoad:
         with pytest.raises(ConfigError, match="jsd"):
             parse_config(default_with({"signal_stop_nm: 1566.0": "signal_stop_nm: 1559.0"}))
 
+    @pytest.mark.parametrize(
+        "replacements, name",
+        [
+            ({"signal_stop_nm: 1566.0": "signal_stop_nm: .inf"}, "center_nm"),
+            (
+                {"signal_start_nm: 1560.0": "signal_start_nm: 1.0e+308",
+                 "signal_stop_nm: 1566.0": "signal_stop_nm: 1.7e+308"},
+                "center_nm",
+            ),
+            (
+                {"signal_start_nm: 1560.0": "signal_start_nm: -1.0e+308",
+                 "signal_stop_nm: 1566.0": "signal_stop_nm: 1.0e+308"},
+                "span_nm",
+            ),
+            ({"idler_step_pm: 10.0": "idler_step_pm: .nan"}, "step_pm"),
+        ],
+    )
+    def test_nonfinite_jsd_axis_is_wrapped(self, replacements, name):
+        # (start + stop)/2 overflows for the second case and stop - start
+        # for the third, each leaving the other finite.
+        with pytest.raises(ConfigError, match=f"jsd: {name} must be finite"):
+            parse_config(default_with(replacements))
+
     def test_degenerate_triplet_rejected(self):
         with pytest.raises(ConfigError, match="fwm"):
             parse_config(default_with({"signal_nm: 1563.45": "signal_nm: 1555.87"}))
@@ -157,6 +180,12 @@ class TestModuleInvariantsAtLoad:
             parse_config(
                 default_with({"spectrum_resolution_pm: 50.0": "spectrum_resolution_pm: 0"})
             )
+
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_nonfinite_jsd_resolution_rejected(self, value):
+        text = default_with({"jsd_resolution_pm: 67.0": f"jsd_resolution_pm: {value}"})
+        with pytest.raises(ConfigError, match="jsd_resolution_pm"):
+            parse_config(text)
 
     def test_zero_jsd_resolution_is_allowed(self):
         config = parse_config(default_with({"jsd_resolution_pm: 67.0": "jsd_resolution_pm: 0"}))

@@ -4,6 +4,7 @@ The line fit is checked against the exact rational least-squares
 solution of the same floats, computed with :class:`fractions.Fraction`.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -400,6 +401,24 @@ class TestLasingCurveFit:
         report = fit_lasing_curve(currents, 0.02 * (currents - 90.0))
         assert report.value("threshold_ma") == pytest.approx(90.0, abs=1e-10)
         assert report.sigma("threshold_ma") < 1e-12
+
+    @pytest.mark.parametrize("exponent", [-990, -3, 3, 990])
+    def test_power_scale_is_exact(self, exponent):
+        # Scaling the powers by a power of two scales every power-valued
+        # result by the same factor, bit for bit, and leaves the threshold
+        # alone, even where squared powers would leave float range.
+        powers, _ = output_power_curve(self.GAIN, self.BUDGET, self.CURRENTS)
+        base = fit_lasing_curve(self.CURRENTS, powers, exclusion_cutoff_ma=130.0)
+        scaled = fit_lasing_curve(
+            self.CURRENTS, np.ldexp(powers, exponent), exclusion_cutoff_ma=130.0
+        )
+        for name in ("slope_mw_per_ma", "intercept_mw"):
+            assert scaled.value(name) == math.ldexp(base.value(name), exponent)
+            assert scaled.sigma(name) == math.ldexp(base.sigma(name), exponent)
+        assert scaled.residual_rms == math.ldexp(base.residual_rms, exponent)
+        assert scaled.value("threshold_ma") == base.value("threshold_ma")
+        assert scaled.sigma("threshold_ma") == base.sigma("threshold_ma")
+        assert scaled.points_used == base.points_used
 
     def test_rejects_all_dark_data(self):
         with pytest.raises(ValueError, match="below threshold"):

@@ -11,6 +11,7 @@ from scipy.ndimage import convolve1d
 
 from loopfwm.instrument import (
     FWHM_PER_SIGMA,
+    MAX_GRID_POINTS,
     centered_grid,
     convolve_conserving,
     gaussian_kernel,
@@ -42,6 +43,17 @@ class TestGrids:
             centered_grid(1555.0, -1.0, 0.01)
         with pytest.raises(ValueError, match="stop_nm"):
             range_grid(1566.0, 1560.0, 0.01)
+
+    def test_rejects_counts_past_the_limit_before_allocating(self):
+        # Every count here fails the check; none is ever allocated.
+        with pytest.raises(ValueError, match=r"1e\+09 points"):
+            range_grid(0.0, 1.0, 1e-9)
+        with pytest.raises(ValueError, match=r"6e\+15 points"):
+            centered_grid(1555.0, 6.0, 1e-15)
+        with pytest.raises(ValueError, match="inf points"):
+            range_grid(0.0, 1e300, 1e-300)
+        with pytest.raises(ValueError, match="points"):
+            range_grid(0.0, float(MAX_GRID_POINTS), 1.0)
 
 
 class TestKernel:

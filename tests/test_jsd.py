@@ -1,17 +1,22 @@
 """Tests for joint spectral analysis and Schmidt decomposition.
 
 Purity is cross-checked against a trace-formula oracle that never calls
-an SVD, and the scan simulation is checked for mass conservation and
-against synthetic ridges of known slope.
+an SVD.  The scan simulation is checked for mass conservation, against
+synthetic ridges of known slope, and against a brute-force cell average
+taken in wavelength; its closed-form cell mean is checked against
+elementary integrals.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loopfwm.fwm import FwmTriplet, idler_wavelength
 from loopfwm.jsd import (
+    _idler_cell_mean,
     JointAmplitude,
     RidgeFit,
     SpectralAxis,
@@ -24,6 +29,7 @@ from loopfwm.jsd import (
     simulate_jsd_scan,
     two_photon_pump_lineshape,
 )
+from loopfwm.ring import SPEED_OF_LIGHT_NM_GHZ
 
 GAMMA_GHZ = 70.0
 SQUARE_AXIS = SpectralAxis(center_nm=1555.0, span_nm=2.72, step_pm=10.0)
@@ -333,3 +339,185 @@ class TestScanSimulation:
     def test_rejects_negative_resolution(self):
         with pytest.raises(ValueError, match="resolution_fwhm_pm"):
             simulate_jsd_scan(self.SCAN, TRIPLET, resolution_fwhm_pm=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="resolution_fwhm_pm"):
+                simulate_jsd_scan(self.SCAN, TRIPLET, resolution_fwhm_pm=bad)
+
+    def test_rejects_nonpositive_or_nonfinite_linewidths(self):
+        for name in ("pump_linewidth_ghz", "signal_linewidth_ghz", "idler_linewidth_ghz"):
+            for bad in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    simulate_jsd_scan(self.SCAN, TRIPLET, **{name: bad})
+
+
+def cell_edges_ghz(axis: SpectralAxis, resonance_nm: float) -> np.ndarray:
+    """Idler detuning at the cell edges, highest (shortest wavelength) first."""
+    wavelengths = axis.wavelengths_nm()
+    half = axis.step_nm / 2.0
+    return detuning_ghz(np.append(wavelengths - half, wavelengths[-1] + half), resonance_nm)
+
+
+def brute_force_scan(
+    grid: SpectralGrid,
+    triplet: FwmTriplet,
+    pump_linewidth_ghz: float,
+    subsamples: int = 4096,
+) -> np.ndarray:
+    """Unblurred scan averaged over ``subsamples`` cell-centered points per
+    idler cell, uniform in wavelength, with the exact detuning at each."""
+    idler = grid.idler.wavelengths_nm()
+    offsets = ((np.arange(subsamples) + 0.5) / subsamples - 0.5) * grid.idler.step_nm
+    omega_i = detuning_ghz(idler[:, None] + offsets[None, :], triplet.idler_nm)
+    idler_filter = np.abs(resonance_lineshape(omega_i, GAMMA_GHZ)) ** 2
+    omega_s = detuning_ghz(grid.signal.wavelengths_nm(), triplet.signal_nm)
+    sum_offset = SPEED_OF_LIGHT_NM_GHZ * triplet.energy_residual_per_nm
+    rows = []
+    for omega in omega_s:
+        pump = np.abs(
+            two_photon_pump_lineshape(omega + omega_i - sum_offset, pump_linewidth_ghz)
+        ) ** 2
+        signal_filter = abs(complex(resonance_lineshape(omega, GAMMA_GHZ))) ** 2
+        rows.append((pump * idler_filter).mean(axis=1) * signal_filter)
+    return np.array(rows)
+
+
+class TestScanReference:
+    # 61 x 61 cells of 10 pm, with neither resonance on a cell center.
+    GRID = SpectralGrid(
+        signal=SpectralAxis(center_nm=TRIPLET.signal_nm + 0.123, span_nm=0.6, step_pm=10.0),
+        idler=SpectralAxis(center_nm=TRIPLET.idler_nm - 0.137, span_nm=0.6, step_pm=10.0),
+    )
+
+    @pytest.mark.parametrize("pump_linewidth", [0.05, 1.0, 35.0])
+    def test_matches_brute_force_cell_average(self, pump_linewidth):
+        got = simulate_jsd_scan(
+            self.GRID,
+            TRIPLET,
+            pump_linewidth_ghz=pump_linewidth,
+            signal_linewidth_ghz=GAMMA_GHZ,
+            idler_linewidth_ghz=GAMMA_GHZ,
+            resolution_fwhm_pm=0.0,
+        )
+        reference = brute_force_scan(self.GRID, TRIPLET, pump_linewidth)
+        assert got.shape == (61, 61)
+        assert np.max(np.abs(got - reference)) <= 1e-5 * np.max(reference)
+
+
+class TestCellMean:
+    """The closed-form cell mean against elementary integrals."""
+
+    @staticmethod
+    def coincident_antiderivative(y, h):
+        # d/dy of this is h^4 / (y^2 + h^2)^2, the integrand when a = 0 and d = h.
+        return 0.5 * h * (h * y / (y * y + h * h) + np.arctan(y / h))
+
+    @pytest.mark.parametrize("relative_offset", [0.0, 1e-13, -1e-13])
+    def test_coincident_poles(self, relative_offset):
+        h = 35.0
+        low = np.array([-0.5, 10.0, 300.0, -400.0])
+        high = np.array([0.7, 11.25, 301.25, 400.0])
+        with np.errstate(all="raise"):
+            got = _idler_cell_mean(np.zeros((1, 1)), low, high, h * (1.0 + relative_offset), h)
+        exact = (
+            self.coincident_antiderivative(high, h) - self.coincident_antiderivative(low, h)
+        ) / (high - low)
+        np.testing.assert_allclose(got[0], exact, rtol=1e-9)
+
+    @pytest.mark.parametrize("shift", [0.0, 3.0, -50.0])
+    @pytest.mark.parametrize("pump_linewidth", [0.05, 35.0, 1e3])
+    def test_wide_span_is_lorentzian_convolution(self, shift, pump_linewidth):
+        # Two Lorentzians of half widths d and h convolve to one of half
+        # width d + h: the full integral is pi*d*h*(d+h)/(a^2 + (d+h)^2).
+        h = 35.0
+        span = 1e9
+        s = pump_linewidth + h
+        got = _idler_cell_mean(
+            np.full((1, 1), shift), np.array([-span]), np.array([span]), pump_linewidth, h
+        )
+        expected = math.pi * pump_linewidth * h * s / (shift**2 + s**2)
+        assert got[0, 0] * 2.0 * span == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("pump_linewidth", [1e100, 1e300])
+    def test_flat_pump_leaves_the_idler_lorentzian(self, pump_linewidth):
+        # A pump far wider than everything is flat, so the mean is the idler
+        # Lorentzian's arctan difference; no factor may overflow on the way
+        # (squares of the tiny shift/linewidth ratios may underflow to 0).
+        h = 35.0
+        low = np.array([-1.0, 10.0, -300.0])
+        high = np.array([0.5, 11.25, 300.0])
+        with np.errstate(all="raise", under="ignore"):
+            got = _idler_cell_mean(np.array([[0.0], [50.0]]), low, high, pump_linewidth, h)
+        expected = h * (np.arctan(high / h) - np.arctan(low / h)) / (high - low)
+        np.testing.assert_allclose(got, np.vstack([expected, expected]), rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "shift, y, pump_linewidth, idler_linewidth",
+        [(0.0, 0.0, 0.05, 70.0), (120.0, -119.99, 0.05, 70.0), (-30.0, 200.0, 35.0, 70.0),
+         (5.0, -3.0, 1e3, 2.0), (0.0, 35.0, 35.0, 70.0)],
+    )
+    def test_narrow_cell_is_point_value(self, shift, y, pump_linewidth, idler_linewidth):
+        width = 1e-7
+        got = _idler_cell_mean(
+            np.full((1, 1), shift),
+            np.array([y - width / 2.0]),
+            np.array([y + width / 2.0]),
+            pump_linewidth,
+            idler_linewidth / 2.0,
+        )
+        point = (
+            abs(complex(two_photon_pump_lineshape(y + shift, pump_linewidth))) ** 2
+            * abs(complex(resonance_lineshape(y, idler_linewidth))) ** 2
+        )
+        assert got[0, 0] == pytest.approx(point, rel=1e-9)
+
+
+class TestScanProperties:
+    # The triplet conserves energy exactly and the signal axis has a sample
+    # exactly on the signal resonance, so that row has zero sum detuning at
+    # the idler resonance; a pump linewidth of half the idler linewidth then
+    # puts the pump and idler poles of the cell integral on one point.
+    GRID = SpectralGrid(
+        signal=SpectralAxis(center_nm=TRIPLET.signal_nm, span_nm=0.32, step_pm=20.0),
+        idler=SpectralAxis(center_nm=TRIPLET.idler_nm + 0.05, span_nm=0.64, step_pm=20.0),
+    )
+
+    def test_grid_holds_the_coincident_row(self):
+        assert TRIPLET.energy_residual_per_nm == 0.0
+        assert TRIPLET.signal_nm in self.GRID.signal.wavelengths_nm()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pump=st.floats(min_value=1e-4, max_value=1e4),
+        signal=st.floats(min_value=1.0, max_value=500.0),
+        idler=st.floats(min_value=1.0, max_value=500.0),
+    )
+    @example(pump=35.0, signal=70.0, idler=70.0)
+    @example(pump=0.5, signal=1.0, idler=1.0)
+    @example(pump=250.0, signal=500.0, idler=500.0)
+    @example(pump=1e-4, signal=1.0, idler=1.0)
+    @example(pump=1e4, signal=500.0, idler=1.0)
+    def test_finite_nonnegative_and_mass_exact(self, pump, signal, idler):
+        widths = dict(
+            pump_linewidth_ghz=pump, signal_linewidth_ghz=signal, idler_linewidth_ghz=idler
+        )
+        with np.errstate(all="raise"):
+            blurred = simulate_jsd_scan(self.GRID, TRIPLET, **widths)
+            sharp = simulate_jsd_scan(self.GRID, TRIPLET, resolution_fwhm_pm=0.0, **widths)
+        for matrix in (blurred, sharp):
+            assert np.all(np.isfinite(matrix))
+            assert np.all(matrix >= 0.0)
+
+        # Each cell holds its mean over its own detuning width, and the
+        # cells tile the span, so weighting by those widths gives the row's
+        # integral over the whole span (the sum offset is exactly zero).
+        edges = cell_edges_ghz(self.GRID.idler, TRIPLET.idler_nm)
+        omega_s = detuning_ghz(self.GRID.signal.wavelengths_nm(), TRIPLET.signal_nm)
+        span_mean = _idler_cell_mean(
+            omega_s[:, None], edges[-1:], edges[:1], pump, idler / 2.0
+        )[:, 0]
+        expected = (
+            span_mean
+            * (edges[0] - edges[-1])
+            * np.abs(resonance_lineshape(omega_s, signal)) ** 2
+        )
+        np.testing.assert_allclose(sharp @ (edges[:-1] - edges[1:]), expected, rtol=1e-9)

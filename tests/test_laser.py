@@ -73,6 +73,8 @@ class TestLossBudget:
             LossElement("broken", -1.0)
         with pytest.raises(ValueError, match="tap must come after"):
             LossBudget(elements=BUDGET.elements, ring_index=4, tap_index=2)
+        with pytest.raises(ValueError, match="ring_insertion_db"):
+            LossBudget(elements=BUDGET.elements, ring_insertion_db=math.inf)
 
 
 class TestGainModel:
@@ -92,6 +94,8 @@ class TestGainModel:
             GainModel(db_per_ma=0.0)
         with pytest.raises(ValueError, match="saturation_power_mw"):
             GainModel(db_per_ma=0.2, saturation_power_mw=-1.0)
+        with pytest.raises(ValueError, match="saturation_power_mw"):
+            GainModel(db_per_ma=0.2, saturation_power_mw=math.inf)
         with pytest.raises(ValueError, match="max_small_signal_gain_db"):
             GainModel(db_per_ma=0.2, max_small_signal_gain_db=35.0)
         with pytest.raises(ValueError, match="calibration"):
@@ -178,6 +182,13 @@ class TestOutputPowerCurve:
 
     def test_zero_below_threshold(self):
         drop, tap = output_power_curve(GAIN, BUDGET, np.array([0.0, 40.0, 89.9]))
+        assert np.all(drop == 0.0)
+        assert np.all(tap == 0.0)
+
+    def test_zero_for_a_loss_past_exp_range(self):
+        # exp(1e300 dB in nepers) overflows; nothing lases, so it is never taken.
+        lossy = LossBudget(elements=BUDGET.elements, ring_insertion_db=1e300)
+        drop, tap = output_power_curve(GAIN, lossy, np.array([0.0, 150.0]))
         assert np.all(drop == 0.0)
         assert np.all(tap == 0.0)
 

@@ -151,6 +151,10 @@ class TestGeometry:
             RingGeometry(radius_um=10.0, group_index=-1.0)
         with pytest.raises(ValueError, match="fsr_nm"):
             RingGeometry.from_fsr(10.0, fsr_nm=0.0, wavelength_nm=1555.0)
+        with pytest.raises(ValueError, match="radius_um"):
+            RingGeometry.from_fsr(0.0, fsr_nm=7.5, wavelength_nm=1555.0)
+        with pytest.raises(ValueError, match="out of range"):
+            RingGeometry.from_fsr(10.0, fsr_nm=7.5, wavelength_nm=1e300)
 
     def test_group_index_bounds(self):
         # Physically plausible guided-mode group indices only.
