@@ -27,24 +27,4 @@ cli
     Command-line entry points.
 """
 
-from loopfwm.ring import (
-    RingCoupling,
-    RingGeometry,
-    drop_transmission,
-    field_enhancement,
-    loaded_q,
-    solve_coupling,
-    through_transmission,
-)
-
-__all__ = [
-    "RingCoupling",
-    "RingGeometry",
-    "drop_transmission",
-    "field_enhancement",
-    "loaded_q",
-    "solve_coupling",
-    "through_transmission",
-]
-
 __version__ = "0.1.0"

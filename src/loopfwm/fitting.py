@@ -237,7 +237,6 @@ def _check_single_resonance(
 def fit_lorentzian(
     spectrum: Spectrum,
     window_nm: tuple[float, float],
-    initial: tuple[float, float, float, float] | None = None,
 ) -> FitReport:
     """Fit a Lorentzian plus constant baseline inside a wavelength window.
 
@@ -249,9 +248,6 @@ def fit_lorentzian(
     window_nm:
         Inclusive ``(start, stop)`` range that must isolate exactly one
         resonance with at least 10 samples across its width.
-    initial:
-        Optional ``(center_nm, fwhm_nm, amplitude, baseline)`` override
-        of the deterministic starting point.
 
     Returns
     -------
@@ -281,13 +277,7 @@ def fit_lorentzian(
             f"at least {_MIN_POINTS_ACROSS_FWHM} are required"
         )
 
-    if initial is None:
-        guess = _initial_lorentzian_guess(wavelengths, values)
-    else:
-        guess = (float(initial[0]), float(initial[1]), float(initial[2]), float(initial[3]))
-        if not (np.isfinite(guess).all() and guess[1] > 0.0):
-            raise ValueError(f"initial guess must be finite with positive width, got {guess}")
-    center0, fwhm0, amplitude0, baseline0 = guess
+    center0, fwhm0, amplitude0, baseline0 = _initial_lorentzian_guess(wavelengths, values)
     _check_single_resonance(wavelengths, values, center0, fwhm0, amplitude0, baseline0)
 
     # Imported here, not at module top: scipy.optimize costs about 0.2 s
@@ -404,7 +394,6 @@ def fit_lasing_curve(
     currents_ma: np.ndarray,
     powers_mw: np.ndarray,
     exclusion_cutoff_ma: float | None = None,
-    weights: np.ndarray | None = None,
 ) -> FitReport:
     """Extract slope and threshold current from a lasing curve.
 
@@ -431,12 +420,7 @@ def fit_lasing_curve(
         )
     if not (np.all(np.isfinite(currents)) and np.all(np.isfinite(powers))):
         raise ValueError("currents and powers must be finite")
-    if weights is None:
-        weights = np.ones_like(currents)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != currents.shape or np.any(weights < 0.0):
-            raise ValueError("weights must be nonnegative and match the data shape")
+    weights = np.ones_like(currents)
 
     included = np.ones(currents.size, dtype=bool)
     if exclusion_cutoff_ma is not None:

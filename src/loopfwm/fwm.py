@@ -15,7 +15,7 @@ import numpy as np
 
 from loopfwm.ring import RingCoupling, RingGeometry, field_enhancement
 
-#: Default tolerance on the energy-conservation residual |2/lp - 1/ls - 1/li|,
+#: Tolerance on the energy-conservation residual |2/lp - 1/ls - 1/li|,
 #: in 1/nm.  Loose enough to accept measured resonance triplets (which sit a
 #: few tens of pm off perfect conservation), tight enough to reject triplets
 #: that are off by a fraction of a linewidth.
@@ -64,15 +64,14 @@ class FwmTriplet:
     Parameters
     ----------
     pump_nm, signal_nm, idler_nm : float
-        The three wavelengths in nm, each on its own ring resonance.
-    tolerance_per_nm : float
-        Largest allowed residual of ``2/lp - 1/ls - 1/li`` in 1/nm.
+        The three wavelengths in nm, each on its own ring resonance.  The
+        residual of ``2/lp - 1/ls - 1/li`` may be at most
+        :data:`ENERGY_TOLERANCE_PER_NM`.
     """
 
     pump_nm: float
     signal_nm: float
     idler_nm: float
-    tolerance_per_nm: float = ENERGY_TOLERANCE_PER_NM
 
     def __post_init__(self) -> None:
         for name, value in (
@@ -88,10 +87,10 @@ class FwmTriplet:
                 f"({self.pump_nm}, {self.signal_nm}, {self.idler_nm})"
             )
         residual = abs(self.energy_residual_per_nm)
-        if residual > self.tolerance_per_nm:
+        if residual > ENERGY_TOLERANCE_PER_NM:
             raise ValueError(
                 f"triplet violates energy conservation: residual "
-                f"{residual:.3e} /nm exceeds tolerance {self.tolerance_per_nm:.3e} /nm"
+                f"{residual:.3e} /nm exceeds tolerance {ENERGY_TOLERANCE_PER_NM:.3e} /nm"
             )
 
     @property
@@ -168,8 +167,10 @@ def idler_power_mw(
             raise ValueError(f"{name} must be positive, got {value}")
     pump_w = pump_mw * 1e-3
     signal_w = signal_mw * 1e-3
+    # A numpy square overflows to inf, which callers can test for; a Python
+    # float power would raise OverflowError instead.
     idler_w = (
-        (gamma_per_w_m * interaction_length_m) ** 2
+        np.float64(gamma_per_w_m * interaction_length_m) ** 2
         * pump_w**2
         * signal_w
         * pump_enhancement**2

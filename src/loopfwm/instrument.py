@@ -35,20 +35,26 @@ def _check_point_count(intervals: float) -> None:
         )
 
 
-def centered_grid(center_nm: float, span_nm: float, step_nm: float) -> np.ndarray:
-    """Uniform wavelength grid of the given span centered on ``center_nm``.
-
-    The number of points is ``round(span/step) + 1``, so the endpoints sit
-    at ``center ± span/2`` up to rounding of the step count, and an odd
-    count places a sample exactly at the center.
-    """
+def centered_count(span_nm: float, step_nm: float) -> int:
+    """Number of points ``round(span/step) + 1`` of a :func:`centered_grid`,
+    found without allocating it."""
     if step_nm <= 0.0:
         raise ValueError(f"step_nm must be positive, got {step_nm}")
     if span_nm <= 0.0:
         raise ValueError(f"span_nm must be positive, got {span_nm}")
     intervals = span_nm / step_nm
     _check_point_count(intervals)
-    count = int(round(intervals)) + 1
+    return int(round(intervals)) + 1
+
+
+def centered_grid(center_nm: float, span_nm: float, step_nm: float) -> np.ndarray:
+    """Uniform wavelength grid of the given span centered on ``center_nm``.
+
+    The number of points is :func:`centered_count`, so the endpoints sit
+    at ``center ± span/2`` up to rounding of the step count, and an odd
+    count places a sample exactly at the center.
+    """
+    count = centered_count(span_nm, step_nm)
     offsets = (np.arange(count) - (count - 1) / 2.0) * step_nm
     return center_nm + offsets
 

@@ -33,19 +33,22 @@ import numpy as np
 
 from loopfwm.fitting import weighted_line
 from loopfwm.fwm import FwmTriplet
-from loopfwm.instrument import centered_grid, convolve_conserving, gaussian_kernel
+from loopfwm.instrument import (
+    MAX_GRID_POINTS,
+    centered_count,
+    centered_grid,
+    convolve_conserving,
+    gaussian_kernel,
+)
 from loopfwm.ring import SPEED_OF_LIGHT_NM_GHZ
-
-#: Default pump linewidth (GHz) for the scanned-measurement simulation.
-#: The self-pumped laser line is far narrower than the 70 GHz ring
-#: resonances; this free parameter controls how tightly the measured
-#: ridge hugs the energy-conservation line.
-DEFAULT_PUMP_LINEWIDTH_GHZ = 0.05
 
 
 @dataclass(frozen=True)
 class SpectralAxis:
     """One axis of a signal-idler grid: center, span and step.
+
+    The low edge ``center_nm - span_nm/2`` must be above 0 nm, where every
+    wavelength has a finite frequency.
 
     Parameters
     ----------
@@ -65,12 +68,13 @@ class SpectralAxis:
         for name in ("center_nm", "span_nm", "step_pm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.center_nm <= 0.0:
-            raise ValueError(f"center_nm must be positive, got {self.center_nm}")
         if self.step_pm <= 0.0:
             raise ValueError(f"step_pm must be positive, got {self.step_pm}")
         if self.span_nm <= 0.0:
             raise ValueError(f"span_nm must be positive, got {self.span_nm}")
+        low = self.center_nm - self.span_nm / 2.0
+        if low <= 0.0:
+            raise ValueError(f"axis low edge must be above 0 nm, got {low} nm")
         if self.size < 16:
             raise ValueError(
                 f"axis needs at least 16 points, got {self.size} "
@@ -83,7 +87,7 @@ class SpectralAxis:
 
     @property
     def size(self) -> int:
-        return self.wavelengths_nm().size
+        return centered_count(self.span_nm, self.step_nm)
 
     def wavelengths_nm(self) -> np.ndarray:
         return centered_grid(self.center_nm, self.span_nm, self.step_nm)
@@ -106,10 +110,23 @@ class SpectralAxis:
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Signal and idler wavelength axes of a joint measurement."""
+    """Signal and idler wavelength axes of a joint measurement.
+
+    The joint grid may hold at most :data:`~loopfwm.instrument.MAX_GRID_POINTS`
+    cells, checked before any joint array is allocated.
+    """
 
     signal: SpectralAxis
     idler: SpectralAxis
+
+    def __post_init__(self) -> None:
+        cells = self.signal.size * self.idler.size
+        if cells > MAX_GRID_POINTS:
+            raise ValueError(
+                f"joint grid would have {cells:,} cells ({self.signal.size} x "
+                f"{self.idler.size}), more than the {MAX_GRID_POINTS:,} allowed; "
+                f"use coarser steps"
+            )
 
 
 @dataclass(frozen=True)
@@ -192,17 +209,16 @@ def jsa(
     pump_linewidth_ghz: float,
     signal_linewidth_ghz: float,
     idler_linewidth_ghz: float,
-    signal_resonance_nm: float | None = None,
-    idler_resonance_nm: float | None = None,
-    pump_resonance_nm: float | None = None,
+    signal_resonance_nm: float,
+    idler_resonance_nm: float,
+    pump_resonance_nm: float,
 ) -> JointAmplitude:
     """Joint spectral amplitude on the grid.
 
     ``A(ws, wi) = phi_2p(Omega_s + Omega_i + offset) * l_s(Omega_s) *
     l_i(Omega_i)``, with detunings measured from the signal and idler
-    resonances.  By default the resonances sit at the grid centers and
-    the pump is energy-conservation centered (zero offset); an explicit
-    pump resonance shifts the two-photon ridge by the triplet's residual.
+    resonances; the residual ``2*nu_p - nu_s0 - nu_i0`` of the pump
+    resonance shifts the two-photon ridge by ``offset``.
 
     Raises
     ------
@@ -210,12 +226,6 @@ def jsa(
         If either axis spans less than four resonance linewidths, where
         the sampled state would be visibly truncated.
     """
-    signal_resonance_nm = (
-        grid.signal.center_nm if signal_resonance_nm is None else signal_resonance_nm
-    )
-    idler_resonance_nm = (
-        grid.idler.center_nm if idler_resonance_nm is None else idler_resonance_nm
-    )
     for axis, linewidth, label in (
         (grid.signal, signal_linewidth_ghz, "signal"),
         (grid.idler, idler_linewidth_ghz, "idler"),
@@ -228,18 +238,10 @@ def jsa(
 
     omega_s = detuning_ghz(grid.signal.wavelengths_nm(), signal_resonance_nm)
     omega_i = detuning_ghz(grid.idler.wavelengths_nm(), idler_resonance_nm)
-    if pump_resonance_nm is None:
-        sum_offset = 0.0
-    else:
-        # Residual of 2*nu_p - nu_s0 - nu_i0 shifts the two-photon ridge.
-        sum_offset = float(
-            SPEED_OF_LIGHT_NM_GHZ
-            * (
-                1.0 / signal_resonance_nm
-                + 1.0 / idler_resonance_nm
-                - 2.0 / pump_resonance_nm
-            )
-        )
+    sum_offset = float(
+        SPEED_OF_LIGHT_NM_GHZ
+        * (1.0 / signal_resonance_nm + 1.0 / idler_resonance_nm - 2.0 / pump_resonance_nm)
+    )
     pump_term = two_photon_pump_lineshape(
         omega_s[:, None] + omega_i[None, :] + sum_offset, pump_linewidth_ghz
     )
@@ -393,10 +395,10 @@ def _idler_cell_mean(
 def simulate_jsd_scan(
     grid: SpectralGrid,
     triplet: FwmTriplet,
-    pump_linewidth_ghz: float = DEFAULT_PUMP_LINEWIDTH_GHZ,
-    signal_linewidth_ghz: float = 70.0,
-    idler_linewidth_ghz: float = 70.0,
-    resolution_fwhm_pm: float = 67.0,
+    pump_linewidth_ghz: float,
+    signal_linewidth_ghz: float,
+    idler_linewidth_ghz: float,
+    resolution_fwhm_pm: float,
 ) -> np.ndarray:
     """Simulate the scanned stimulated-idler measurement.
 

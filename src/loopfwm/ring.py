@@ -269,9 +269,22 @@ def drop_fwhm_phase(coupling: RingCoupling) -> float:
 
 
 def drop_fwhm_nm(resonance_nm: float, geometry: RingGeometry, coupling: RingCoupling) -> float:
-    """Full width at half maximum of the drop resonance, in nanometers."""
+    """Full width at half maximum of the drop resonance, in nanometers.
+
+    Raises
+    ------
+    ValueError
+        If the width is not finite and positive, as for a resonance so
+        short or long that its square leaves float range.
+    """
     optical_length = geometry.group_index * geometry.circumference_nm
-    return drop_fwhm_phase(coupling) * resonance_nm**2 / (2.0 * math.pi * optical_length)
+    try:
+        fwhm = drop_fwhm_phase(coupling) * resonance_nm**2 / (2.0 * math.pi * optical_length)
+    except OverflowError:
+        fwhm = math.inf
+    if not 0.0 < fwhm < math.inf:
+        raise ValueError(f"resonance at {resonance_nm} nm has no finite linewidth (got {fwhm} nm)")
+    return fwhm
 
 
 def loaded_q(resonance_nm: float, geometry: RingGeometry, coupling: RingCoupling) -> float:
@@ -280,9 +293,21 @@ def loaded_q(resonance_nm: float, geometry: RingGeometry, coupling: RingCoupling
 
 
 def linewidth_ghz(resonance_nm: float, geometry: RingGeometry, coupling: RingCoupling) -> float:
-    """Loaded linewidth of the drop resonance in ordinary frequency (GHz)."""
+    """Loaded linewidth of the drop resonance in ordinary frequency (GHz).
+
+    Raises
+    ------
+    ValueError
+        If the linewidth, or the width in nm it is converted from, is not
+        finite and positive.
+    """
     fwhm_nm = drop_fwhm_nm(resonance_nm, geometry, coupling)
-    return SPEED_OF_LIGHT_NM_GHZ * fwhm_nm / resonance_nm**2
+    linewidth = SPEED_OF_LIGHT_NM_GHZ * fwhm_nm / resonance_nm**2
+    if not 0.0 < linewidth < math.inf:
+        raise ValueError(
+            f"resonance at {resonance_nm} nm has no finite linewidth (got {linewidth} GHz)"
+        )
+    return linewidth
 
 
 def solve_coupling(

@@ -16,21 +16,21 @@ from loopfwm.cli import main
 from loopfwm.config import default_config_text, parse_config
 from loopfwm.fitting import Spectrum, fit_lasing_curve, fit_lorentzian
 from loopfwm.fwm import idler_power_on_ring, idler_wavelength
-from loopfwm.instrument import centered_grid
+from loopfwm.instrument import centered_grid, range_grid
 from loopfwm.jsd import SpectralAxis, SpectralGrid, jsa, ridge_fit, schmidt, simulate_jsd_scan
-from loopfwm.laser import (
-    LossBudget,
-    default_gain_model,
-    output_power_curve,
-    steady_state_roundtrip,
-    threshold_current_ma,
-)
+from loopfwm.laser import output_power_curve, saturated_single_pass_gain, steady_state_roundtrip
 from loopfwm.ring import linewidth_ghz, through_transmission
 
 CONFIG = parse_config(default_config_text())
 GAMMA_GHZ = linewidth_ghz(CONFIG.resonance_nm, CONFIG.geometry, CONFIG.coupling)
 SQUARE_AXIS = SpectralAxis(center_nm=1555.0, span_nm=2.72, step_pm=10.0)
 SQUARE_GRID = SpectralGrid(signal=SQUARE_AXIS, idler=SQUARE_AXIS)
+
+
+def square_jsa(grid: SpectralGrid, pump_linewidth_ghz: float):
+    """Joint amplitude with 70 GHz resonances at the 1555 nm grid center and
+    an energy-conserving pump there too."""
+    return jsa(grid, pump_linewidth_ghz, 70.0, 70.0, 1555.0, 1555.0, 1555.0)
 
 
 def verdict(capsys, number: int, description: str, passed: bool, detail: str) -> None:
@@ -41,9 +41,9 @@ def verdict(capsys, number: int, description: str, passed: bool, detail: str) ->
 
 
 def test_criterion_01_loss_ledger(capsys):
-    LossBudget.paper_default()  # warm-up outside the timed region
+    CONFIG.budget.total_db  # warm-up outside the timed region
     start = time.perf_counter()
-    total = LossBudget.paper_default().total_db
+    total = CONFIG.budget.total_db
     elapsed = time.perf_counter() - start
     passed = abs(total - 18.0) <= 0.01 and elapsed < 1e-3
     verdict(
@@ -53,10 +53,12 @@ def test_criterion_01_loss_ledger(capsys):
 
 
 def test_criterion_02_threshold_current(capsys):
-    gain, budget = default_gain_model(), LossBudget.paper_default()
-    threshold_current_ma(gain, budget)
+    # The default laser-curve sweep and fit.
+    currents = range_grid(60.0, 150.0, 5.0)
+    drop, _ = output_power_curve(CONFIG.gain, CONFIG.budget, currents)
+    fit_lasing_curve(currents, drop, exclusion_cutoff_ma=130.0)  # warm-up
     start = time.perf_counter()
-    threshold = threshold_current_ma(gain, budget)
+    threshold = fit_lasing_curve(currents, drop, exclusion_cutoff_ma=130.0).value("threshold_ma")
     elapsed = time.perf_counter() - start
     passed = abs(threshold - 90.0) <= 0.5 and elapsed < 1e-3
     verdict(
@@ -65,23 +67,38 @@ def test_criterion_02_threshold_current(capsys):
     )
 
 
+def roundtrip_fixed_point_mw(current_ma: float) -> tuple[float, int]:
+    """Amplifier output power of the loop found by iterating the physical
+    round trip: the amplifier input is the output times the loop
+    transmission ``T``, so ``X <- G_sat(T*X) * T*X``, with the saturated
+    gain from the amplifier law alone.  Stops once a round trip moves the
+    power by at most 1e-15 of itself; returns the power and the steps."""
+    transmission = 10.0 ** (-CONFIG.budget.loop_db / 10.0)
+    power = CONFIG.gain.saturation_power_mw
+    for step in range(1, 10_001):
+        amplifier_in = transmission * power
+        updated = saturated_single_pass_gain(CONFIG.gain, current_ma, amplifier_in) * amplifier_in
+        if abs(updated - power) <= 1e-15 * power:
+            return updated, step
+        power = updated
+    raise AssertionError(f"round trip at {current_ma} mA did not settle in 10,000 steps")
+
+
 def test_criterion_03_closed_form_vs_roundtrip(capsys):
-    gain, budget = default_gain_model(), LossBudget.paper_default()
+    budget = CONFIG.budget
     currents = np.linspace(1.1 * 90.0, 2.0 * 90.0, 100)
+    to_drop = 10.0 ** (-(budget.amplifier_to_ring_db + budget.ring_insertion_db) / 10.0)
     start = time.perf_counter()
-    closed, _ = output_power_curve(gain, budget, currents)
-    iterated = np.array(
-        [
-            steady_state_roundtrip(gain, budget, current).drop_port_power_mw
-            for current in currents
-        ]
-    )
+    closed, _ = output_power_curve(CONFIG.gain, budget, currents)
+    settled = [roundtrip_fixed_point_mw(current) for current in currents]
     elapsed = time.perf_counter() - start
+    iterated = np.array([power for power, _ in settled]) * to_drop
     relative = np.abs(closed - iterated) / iterated
     passed = bool(np.all(relative <= 0.01)) and elapsed < 1.0
     verdict(
         capsys, 3, "closed-form curve matches round-trip fixed point", passed,
-        f"max deviation {relative.max():.2e} over 100 currents in {elapsed:.3f} s",
+        f"max deviation {relative.max():.2e} over 100 currents, at most "
+        f"{max(steps for _, steps in settled)} round trips, in {elapsed:.3f} s",
     )
 
 
@@ -146,20 +163,20 @@ def test_criterion_07_schmidt_properties(capsys):
     purities = {}
     checks = []
     for ratio, expected in goldens.items():
-        result = schmidt(jsa(SQUARE_GRID, ratio * 70.0, 70.0, 70.0))
+        result = schmidt(square_jsa(SQUARE_GRID, ratio * 70.0))
         purities[ratio] = result.purity
         checks.append(0.0 < result.purity <= 1.0)
         checks.append(abs(result.purity * result.schmidt_number - 1.0) <= 1e-12)
         checks.append(abs(result.purity - expected) <= 1e-9)
     ordered = [purities[r] for r in (10.0, 1.0, 0.1, 0.01)]
     checks.append(all(a >= b for a, b in zip(ordered, ordered[1:])))
-    flat = schmidt(jsa(SQUARE_GRID, 100.0 * 70.0, 70.0, 70.0)).purity
+    flat = schmidt(square_jsa(SQUARE_GRID, 100.0 * 70.0)).purity
     checks.append(flat > 0.99)
     fine_axis = SpectralAxis(center_nm=1555.0, span_nm=2.72, step_pm=5.0)
     fine = schmidt(
-        jsa(SpectralGrid(signal=fine_axis, idler=fine_axis), 0.05 * 70.0, 70.0, 70.0)
+        square_jsa(SpectralGrid(signal=fine_axis, idler=fine_axis), 0.05 * 70.0)
     ).purity
-    coarse = schmidt(jsa(SQUARE_GRID, 0.05 * 70.0, 70.0, 70.0)).purity
+    coarse = schmidt(square_jsa(SQUARE_GRID, 0.05 * 70.0)).purity
     checks.append(abs(fine - coarse) < 1e-3)
     elapsed = time.perf_counter() - start
     checks.append(elapsed < 60.0)
@@ -187,11 +204,12 @@ def test_criterion_08_fitter_recovery(capsys):
         )
         worst = max(worst, abs(report.value("quality_factor") - q_true) / q_true)
 
-    gain, budget = default_gain_model(), LossBudget.paper_default()
     currents = np.arange(80.0, 152.5, 5.0)
     contaminated = np.array(
         [
-            steady_state_roundtrip(gain, budget, current, tpa_db_per_mw=0.02).drop_port_power_mw
+            steady_state_roundtrip(
+                CONFIG.gain, CONFIG.budget, current, tpa_db_per_mw=0.02
+            ).drop_port_power_mw
             for current in currents
         ]
     )

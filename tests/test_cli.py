@@ -27,47 +27,17 @@ from loopfwm.csvio import read_table
 
 
 def config_dict() -> dict:
-    return {
-        "ring": {
-            "radius_um": 10.0,
-            "fsr_nm": 7.5,
-            "resonance_nm": 1555.87,
-            "coupling": {"quality_factor": 2750.0, "extinction": 0.04},
-        },
-        "loss_budget": {
-            "ring_insertion_db": 2.0,
-            "ring_index": 4,
-            "tap_index": 6,
-            "elements": [
-                {"name": "bandpass filter (pre-ring)", "loss_db": 3.5},
-                {"name": "50:50 splitter", "loss_db": 3.0},
-                {"name": "isolator", "loss_db": 0.3},
-                {"name": "input grating coupler", "loss_db": 3.6},
-                {"name": "output grating coupler", "loss_db": 3.6},
-                {"name": "bandpass filter (post-ring)", "loss_db": 3.5},
-                {"name": "99:1 tap splitter", "loss_db": 0.5},
-            ],
-        },
-        "gain": {
-            "calibration_current_ma": 90.0,
-            "calibration_gain_db": 20.0,
-            "saturation_power_mw": 8.8,
-            "max_small_signal_gain_db": 30.0,
-        },
-        "fwm": {"gamma_per_w_m": 300.0, "pump_nm": 1555.87, "signal_nm": 1563.45},
-        "jsd": {
-            "pump_linewidth_ghz": 0.05,
-            "signal_start_nm": 1562.0,
-            "signal_stop_nm": 1565.0,
-            "signal_step_pm": 20.0,
-            "idler_start_nm": 1546.5,
-            "idler_stop_nm": 1550.5,
-            "idler_step_pm": 20.0,
-        },
-        "instrument": {"spectrum_resolution_pm": 50.0, "jsd_resolution_pm": 67.0},
-        "output_dir": "runs",
-        "seed": 0,
-    }
+    """The packaged default config with a 151 x 201 JSD grid at 20 pm steps."""
+    config = yaml.safe_load(default_config_text())
+    config["jsd"].update(
+        signal_start_nm=1562.0,
+        signal_stop_nm=1565.0,
+        signal_step_pm=20.0,
+        idler_start_nm=1546.5,
+        idler_stop_nm=1550.5,
+        idler_step_pm=20.0,
+    )
+    return config
 
 
 @pytest.fixture
@@ -494,18 +464,23 @@ CONFIG_EDGES = (0, -1, math.nan, math.inf, -math.inf, 1e300, 1e-300)
 
 
 class TestConfigFuzz:
-    """The default config with one numeric key set to an edge value."""
+    """A fuzz base config with one numeric key set to an edge value, run
+    through every subcommand.  The base is the packaged default with 100 pm
+    JSD steps, a 61 x 61 grid, so a ``jsd`` run stays quick."""
 
     def test_every_number_is_a_key(self):
         assert len(CONFIG_KEYS) == 32
 
     # Pinned inputs whose arithmetic can raise: OverflowError from an
-    # infinite JSD axis or a huge resonance or loop loss, ZeroDivisionError
-    # from a zero radius or a tiny saturation power, and RuntimeWarning from
-    # an infinite ring loss or an infinite or huge saturation power.
-    @settings(deadline=None, max_examples=100)
+    # infinite JSD axis, a huge resonance, loop loss, signal wavelength or
+    # nonlinear parameter, ZeroDivisionError from a zero radius, a tiny
+    # saturation power or pump wavelength, or an axis whose low edge is at
+    # or below 0 nm, and RuntimeWarning from an infinite ring loss or an
+    # infinite or huge saturation power.  On the default 10 pm grid, a
+    # signal axis starting at -1 nm would ask for 94 M joint cells.
+    @settings(deadline=None, max_examples=250)
     @given(
-        command=st.sampled_from(["ring-spectrum", "laser-curve"]),
+        command=st.sampled_from(["ring-spectrum", "laser-curve", "fwm-sweep", "jsd", "fit"]),
         key=st.sampled_from(CONFIG_KEYS),
         value=st.sampled_from(CONFIG_EDGES),
     )
@@ -518,16 +493,26 @@ class TestConfigFuzz:
     @example(command="laser-curve", key=("gain", "saturation_power_mw"), value=math.inf)
     @example(command="laser-curve", key=("gain", "saturation_power_mw"), value=1e300)
     @example(command="laser-curve", key=("gain", "saturation_power_mw"), value=1e-300)
-    def test_one_key_at_an_edge(self, command, key, value):
+    @example(command="jsd", key=("jsd", "signal_start_nm"), value=-1)
+    @example(command="jsd", key=("jsd", "signal_start_nm"), value=0)
+    @example(command="jsd", key=("jsd", "idler_start_nm"), value=1e-300)
+    @example(command="jsd", key=("fwm", "pump_nm"), value=1e-300)
+    @example(command="jsd", key=("fwm", "signal_nm"), value=1e300)
+    @example(command="fwm-sweep", key=("fwm", "gamma_per_w_m"), value=1e300)
+    def test_one_key_at_an_edge(self, fit_inputs, command, key, value):
         config = yaml.safe_load(default_config_text())
+        config["jsd"].update(signal_step_pm=100.0, idler_step_pm=100.0)
         node = config
         for part in key[:-1]:
             node = node[part]
         node[key[-1]] = value
+        argv = [command]
+        if command == "fit":
+            argv += [str(fit_inputs / "laser_curve.csv"), "--model", "lasing"]
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "edge.yaml"
             path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
-            run_edge_case([command, "--config", str(path)], Path(scratch))
+            run_edge_case(argv + ["--config", str(path)], Path(scratch))
 
 
 def test_module_entry_point_runs():

@@ -144,6 +144,17 @@ class TestModuleInvariantsAtLoad:
         with pytest.raises(ConfigError, match="jsd"):
             parse_config(default_with({"signal_stop_nm: 1566.0": "signal_stop_nm: 1559.0"}))
 
+    def test_axis_through_zero_is_wrapped(self):
+        text = default_with({"signal_start_nm: 1560.0": "signal_start_nm: -1"})
+        with pytest.raises(ConfigError, match="jsd: axis low edge"):
+            parse_config(text)
+
+    def test_joint_grid_cap_is_wrapped(self):
+        # 60,001 x 601 cells, rejected before any array is allocated.
+        text = default_with({"signal_step_pm: 10.0": "signal_step_pm: 0.1"})
+        with pytest.raises(ConfigError, match="jsd: joint grid would have 36,060,601 cells"):
+            parse_config(text)
+
     @pytest.mark.parametrize(
         "replacements, name",
         [

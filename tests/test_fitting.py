@@ -23,18 +23,14 @@ from loopfwm.fitting import (
     weighted_line,
 )
 from loopfwm.instrument import centered_grid, range_grid
-from loopfwm.laser import (
-    LossBudget,
-    default_gain_model,
-    output_power_curve,
-    steady_state_roundtrip,
-)
+from loopfwm.laser import output_power_curve, steady_state_roundtrip
 from loopfwm.ring import RingGeometry, drop_spectrum, solve_coupling, through_spectrum
 
 CENTER_NM = 1555.87
 Q_TARGET = 2750.0
 GEOMETRY = RingGeometry(radius_um=10.0, group_index=5.136951696849072)
 COUPLING = solve_coupling(GEOMETRY, CENTER_NM, Q_TARGET, 0.04)
+CONFIG = parse_config(default_config_text())
 
 
 def synthetic_lorentzian(window_half_nm, step_nm, fwhm_nm, amplitude, baseline):
@@ -119,23 +115,6 @@ class TestLorentzianFit:
             Spectrum(grid, peak, 50.0, "drop"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
         )
         assert report.value("peak") == pytest.approx(0.65, rel=1e-6)
-
-    def test_idempotent_restart(self):
-        grid, values = synthetic_lorentzian(3.0, 0.05, 0.57, 0.6, 0.1)
-        rng = np.random.default_rng(7)
-        noisy = values + rng.normal(0.0, 0.006, size=grid.size)
-        spectrum = Spectrum(grid, noisy, 50.0, "drop")
-        window = (CENTER_NM - 3.0, CENTER_NM + 3.0)
-        first = fit_lorentzian(spectrum, window)
-        converged = (
-            first.value("center_nm"),
-            first.value("fwhm_nm"),
-            first.value("amplitude"),
-            first.value("baseline"),
-        )
-        second = fit_lorentzian(spectrum, window, initial=converged)
-        for name in ("center_nm", "fwhm_nm", "amplitude", "baseline"):
-            assert second.value(name) == pytest.approx(first.value(name), abs=1e-10)
 
     def test_monte_carlo_quality_recovery(self):
         # Frozen configuration: 50 pm sampling, noise sigma at 1% of the
@@ -302,12 +281,11 @@ def zoom_curve() -> tuple[np.ndarray, np.ndarray]:
     """The threshold zoom of ``laser-curve --tpa 0.02 --start-ma 90
     --stop-ma 90.004 --step-ma 0.0005``: 9 currents a few microamps apart
     at a 90 mA offset, with the first one dark."""
-    config = parse_config(default_config_text())
     currents = range_grid(90.0, 90.004, 0.0005)
     powers = np.array(
         [
             steady_state_roundtrip(
-                config.gain, config.budget, current, tpa_db_per_mw=0.02
+                CONFIG.gain, CONFIG.budget, current, tpa_db_per_mw=0.02
             ).drop_port_power_mw
             for current in currents
         ]
@@ -367,8 +345,8 @@ class TestExactReference:
 
 
 class TestLasingCurveFit:
-    BUDGET = LossBudget.paper_default()
-    GAIN = default_gain_model()
+    BUDGET = CONFIG.budget
+    GAIN = CONFIG.gain
     CURRENTS = np.arange(80.0, 152.5, 5.0)
 
     def test_recovers_configured_threshold(self):

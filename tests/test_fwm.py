@@ -14,7 +14,8 @@ from loopfwm.fwm import (
     idler_power_on_ring,
     idler_wavelength,
 )
-from loopfwm.laser import LossBudget, default_gain_model, steady_state_roundtrip
+from loopfwm.config import default_config_text, parse_config
+from loopfwm.laser import steady_state_roundtrip
 from loopfwm.ring import RingGeometry, solve_coupling
 
 GEOMETRY = RingGeometry.from_fsr(radius_um=10.0, fsr_nm=7.5, wavelength_nm=1555.87)
@@ -110,6 +111,13 @@ class TestIdlerPower:
         power = idler_power_on_ring(triplet, 1.87, 0.13, GEOMETRY, COUPLING, GAMMA)
         assert power > 0.0
 
+    def test_overflow_is_infinite(self):
+        # (gamma*L)**2 leaves float range; the caller sees inf, not an exception.
+        with np.errstate(over="ignore"):
+            assert idler_power_mw(1.0, 0.1, 1e300, 6.3e-5) == np.inf
+            swept = idler_power_mw(np.array([1e-3, 1.0]), 0.1, 1e300, 6.3e-5)
+        assert np.all(swept == np.inf)
+
     def test_validation(self):
         with pytest.raises(ValueError, match=">= 0"):
             idler_power_mw(-1.0, 0.1, GAMMA, 6.3e-5)
@@ -155,8 +163,8 @@ class TestConversionSweep:
         # hard gain cap flattens the curve above ~135 mA, so the idler
         # grows monotonically (non-strictly) across 150..300 mA and
         # strictly below the cap.
-        gain = default_gain_model()
-        budget = LossBudget.paper_default()
+        config = parse_config(default_config_text())
+        gain, budget = config.gain, config.budget
         currents = np.arange(100.0, 301.0, 25.0)
         pumps = []
         for current in currents:

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from loopfwm.config import default_config_text, parse_config
 from loopfwm.fwm import FwmTriplet, idler_wavelength
+from loopfwm.instrument import MAX_GRID_POINTS
 from loopfwm.jsd import (
     _idler_cell_mean,
     JointAmplitude,
@@ -31,10 +33,26 @@ from loopfwm.jsd import (
 )
 from loopfwm.ring import SPEED_OF_LIGHT_NM_GHZ
 
+CONFIG = parse_config(default_config_text())
 GAMMA_GHZ = 70.0
 SQUARE_AXIS = SpectralAxis(center_nm=1555.0, span_nm=2.72, step_pm=10.0)
 SQUARE_GRID = SpectralGrid(signal=SQUARE_AXIS, idler=SQUARE_AXIS)
+# Signal, idler and pump resonances of jsa on the square grids, all at their
+# 1555 nm center, so the pump conserves energy exactly.
+AT_CENTER = (1555.0, 1555.0, 1555.0)
 TRIPLET = FwmTriplet.from_pump_signal(1555.87, 1563.45)
+
+
+def scan(grid: SpectralGrid, **settings) -> np.ndarray:
+    """``simulate_jsd_scan`` of ``TRIPLET`` with the reference pump linewidth
+    and spectrometer resolution and 70 GHz resonances, unless overridden."""
+    defaults = dict(
+        pump_linewidth_ghz=CONFIG.pump_linewidth_ghz,
+        signal_linewidth_ghz=GAMMA_GHZ,
+        idler_linewidth_ghz=GAMMA_GHZ,
+        resolution_fwhm_pm=CONFIG.jsd_resolution_pm,
+    )
+    return simulate_jsd_scan(grid, TRIPLET, **{**defaults, **settings})
 
 
 def purity_from_traces(matrix: np.ndarray) -> float:
@@ -91,6 +109,26 @@ class TestGridTypes:
         with pytest.raises(ValueError, match="at least 16 points"):
             SpectralAxis(center_nm=1555.0, span_nm=0.1, step_pm=10.0)
 
+    @pytest.mark.parametrize("start_nm", [-1.0, 0.0, 1e-300])
+    def test_rejects_low_edge_at_or_below_zero(self, start_nm):
+        # A 1e-300 nm start rounds the low edge of a 6 nm axis to exactly 0.
+        with pytest.raises(ValueError, match="low edge"):
+            SpectralAxis.from_range(start_nm, 6.0, 100.0)
+        with pytest.raises(ValueError, match="low edge"):
+            SpectralAxis(center_nm=1.0, span_nm=3.0, step_pm=10.0)
+
+    def test_joint_grid_cell_cap(self):
+        # Axes of 4,001 and 2,500 points: 10,002,500 cells, one grid past
+        # MAX_GRID_POINTS.  No axis or joint array is ever allocated.
+        wide = SpectralAxis(center_nm=1555.0, span_nm=40.0, step_pm=10.0)
+        narrow = SpectralAxis(center_nm=1555.0, span_nm=24.99, step_pm=10.0)
+        assert (wide.size, narrow.size) == (4001, 2500)
+        with pytest.raises(ValueError, match="10,002,500 cells"):
+            SpectralGrid(signal=wide, idler=narrow)
+        smaller = SpectralAxis(center_nm=1555.0, span_nm=24.98, step_pm=10.0)
+        assert wide.size * smaller.size <= MAX_GRID_POINTS
+        SpectralGrid(signal=wide, idler=smaller)
+
     def test_detuning_is_exact_frequency_difference(self):
         got = detuning_ghz(1556.0, 1555.0)
         expected = 2.99792458e8 / 1556.0 - 2.99792458e8 / 1555.0
@@ -99,23 +137,23 @@ class TestGridTypes:
 
 class TestJsa:
     def test_flat_pump_factorizes(self):
-        joint = jsa(SQUARE_GRID, 100.0 * GAMMA_GHZ, GAMMA_GHZ, GAMMA_GHZ)
+        joint = jsa(SQUARE_GRID, 100.0 * GAMMA_GHZ, GAMMA_GHZ, GAMMA_GHZ, *AT_CENTER)
         assert schmidt(joint).purity > 0.99
 
     def test_transpose_symmetry(self):
-        joint = jsa(SQUARE_GRID, 0.1 * GAMMA_GHZ, GAMMA_GHZ, GAMMA_GHZ)
+        joint = jsa(SQUARE_GRID, 0.1 * GAMMA_GHZ, GAMMA_GHZ, GAMMA_GHZ, *AT_CENTER)
         intensity = np.abs(joint.matrix) ** 2
         np.testing.assert_allclose(intensity, intensity.T, atol=1e-12 * intensity.max())
 
     def test_swapping_linewidths_transposes(self):
         axis = SpectralAxis(center_nm=1555.0, span_nm=5.44, step_pm=20.0)
         grid = SpectralGrid(signal=axis, idler=axis)
-        a = jsa(grid, GAMMA_GHZ, GAMMA_GHZ, 2.0 * GAMMA_GHZ)
-        b = jsa(grid, GAMMA_GHZ, 2.0 * GAMMA_GHZ, GAMMA_GHZ)
+        a = jsa(grid, GAMMA_GHZ, GAMMA_GHZ, 2.0 * GAMMA_GHZ, *AT_CENTER)
+        b = jsa(grid, GAMMA_GHZ, 2.0 * GAMMA_GHZ, GAMMA_GHZ, *AT_CENTER)
         np.testing.assert_allclose(np.abs(a.matrix), np.abs(b.matrix).T, rtol=1e-12)
 
     def test_narrow_pump_ridge_on_antidiagonal(self):
-        joint = jsa(SQUARE_GRID, 0.01 * GAMMA_GHZ, GAMMA_GHZ, GAMMA_GHZ)
+        joint = jsa(SQUARE_GRID, 0.01 * GAMMA_GHZ, GAMMA_GHZ, GAMMA_GHZ, *AT_CENTER)
         intensity = np.abs(joint.matrix) ** 2
         omega_s = detuning_ghz(SQUARE_AXIS.wavelengths_nm(), 1555.0)
         omega_i = detuning_ghz(SQUARE_AXIS.wavelengths_nm(), 1555.0)
@@ -126,7 +164,7 @@ class TestJsa:
     def test_rejects_narrow_span(self):
         narrow = SpectralAxis(center_nm=1555.0, span_nm=0.5, step_pm=10.0)
         with pytest.raises(ValueError, match="four"):
-            jsa(SpectralGrid(signal=narrow, idler=narrow), 3.5, GAMMA_GHZ, GAMMA_GHZ)
+            jsa(SpectralGrid(signal=narrow, idler=narrow), 3.5, GAMMA_GHZ, GAMMA_GHZ, *AT_CENTER)
 
     def test_rejects_zero_matrix(self):
         with pytest.raises(ValueError, match="zero"):
@@ -168,7 +206,7 @@ class TestSchmidt:
             assert result.purity == pytest.approx(purity_from_traces(matrix), abs=1e-12)
 
     def test_invariants(self):
-        joint = jsa(SQUARE_GRID, 0.5 * GAMMA_GHZ, GAMMA_GHZ, GAMMA_GHZ)
+        joint = jsa(SQUARE_GRID, 0.5 * GAMMA_GHZ, GAMMA_GHZ, GAMMA_GHZ, *AT_CENTER)
         result = schmidt(joint)
         assert 0.0 < result.purity <= 1.0
         assert result.purity * result.schmidt_number == pytest.approx(1.0, abs=1e-12)
@@ -178,7 +216,7 @@ class TestSchmidt:
     def test_purity_monotone_in_pump_linewidth(self):
         ratios = (100.0, 10.0, 1.0, 0.1, 0.01)
         purities = [
-            schmidt(jsa(SQUARE_GRID, r * GAMMA_GHZ, GAMMA_GHZ, GAMMA_GHZ)).purity
+            schmidt(jsa(SQUARE_GRID, r * GAMMA_GHZ, GAMMA_GHZ, GAMMA_GHZ, *AT_CENTER)).purity
             for r in ratios
         ]
         assert all(a > b for a, b in zip(purities, purities[1:]))
@@ -193,15 +231,16 @@ class TestSchmidt:
             0.01: 0.048648363200,
         }
         for ratio, value in expected.items():
-            got = schmidt(jsa(SQUARE_GRID, ratio * GAMMA_GHZ, GAMMA_GHZ, GAMMA_GHZ)).purity
+            joint = jsa(SQUARE_GRID, ratio * GAMMA_GHZ, GAMMA_GHZ, GAMMA_GHZ, *AT_CENTER)
+            got = schmidt(joint).purity
             assert got == pytest.approx(value, abs=1e-9)
 
     def test_grid_refinement_stability(self):
         fine_axis = SpectralAxis(center_nm=1555.0, span_nm=2.72, step_pm=5.0)
         fine = SpectralGrid(signal=fine_axis, idler=fine_axis)
         delta = 0.05 * GAMMA_GHZ
-        coarse_purity = schmidt(jsa(SQUARE_GRID, delta, GAMMA_GHZ, GAMMA_GHZ)).purity
-        fine_purity = schmidt(jsa(fine, delta, GAMMA_GHZ, GAMMA_GHZ)).purity
+        coarse_purity = schmidt(jsa(SQUARE_GRID, delta, GAMMA_GHZ, GAMMA_GHZ, *AT_CENTER)).purity
+        fine_purity = schmidt(jsa(fine, delta, GAMMA_GHZ, GAMMA_GHZ, *AT_CENTER)).purity
         assert abs(fine_purity - coarse_purity) < 1e-3
 
 
@@ -258,18 +297,18 @@ class TestScanSimulation:
     )
 
     def test_nonnegative(self):
-        matrix = simulate_jsd_scan(self.SCAN, TRIPLET)
+        matrix = scan(self.SCAN)
         assert np.all(matrix >= 0.0)
 
     def test_instrument_conserves_row_mass(self):
-        sharp = simulate_jsd_scan(self.SCAN, TRIPLET, resolution_fwhm_pm=0.0)
-        blurred = simulate_jsd_scan(self.SCAN, TRIPLET, resolution_fwhm_pm=67.0)
+        sharp = scan(self.SCAN, resolution_fwhm_pm=0.0)
+        blurred = scan(self.SCAN, resolution_fwhm_pm=67.0)
         np.testing.assert_allclose(
             blurred.sum(axis=1), sharp.sum(axis=1), rtol=1e-9
         )
 
     def test_ridge_slope_near_energy_conservation(self):
-        matrix = simulate_jsd_scan(self.SCAN, TRIPLET, resolution_fwhm_pm=67.0)
+        matrix = scan(self.SCAN, resolution_fwhm_pm=67.0)
         fit = ridge_fit(
             matrix,
             self.SCAN.signal.wavelengths_nm(),
@@ -279,12 +318,7 @@ class TestScanSimulation:
         assert fit.slope == pytest.approx(expected, abs=0.01)
 
     def test_delta_limit_collapses_columns(self):
-        matrix = simulate_jsd_scan(
-            self.SCAN,
-            TRIPLET,
-            pump_linewidth_ghz=0.01,
-            resolution_fwhm_pm=0.0,
-        )
+        matrix = scan(self.SCAN, pump_linewidth_ghz=0.01, resolution_fwhm_pm=0.0)
         idler_axis = self.SCAN.idler.wavelengths_nm()
         signal_axis = self.SCAN.signal.wavelengths_nm()
         step = idler_axis[1] - idler_axis[0]
@@ -318,8 +352,8 @@ class TestScanSimulation:
         )
 
     def test_wider_resolution_widens_ridge(self):
-        narrow = simulate_jsd_scan(self.SCAN, TRIPLET, resolution_fwhm_pm=67.0)
-        wide = simulate_jsd_scan(self.SCAN, TRIPLET, resolution_fwhm_pm=134.0)
+        narrow = scan(self.SCAN, resolution_fwhm_pm=67.0)
+        wide = scan(self.SCAN, resolution_fwhm_pm=134.0)
         axes = (
             self.SCAN.signal.wavelengths_nm(),
             self.SCAN.idler.wavelengths_nm(),
@@ -334,20 +368,20 @@ class TestScanSimulation:
             idler=self.SCAN.idler,
         )
         with pytest.raises(ValueError, match="does not cover"):
-            simulate_jsd_scan(off_window, TRIPLET)
+            scan(off_window)
 
     def test_rejects_negative_resolution(self):
         with pytest.raises(ValueError, match="resolution_fwhm_pm"):
-            simulate_jsd_scan(self.SCAN, TRIPLET, resolution_fwhm_pm=-1.0)
+            scan(self.SCAN, resolution_fwhm_pm=-1.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="resolution_fwhm_pm"):
-                simulate_jsd_scan(self.SCAN, TRIPLET, resolution_fwhm_pm=bad)
+                scan(self.SCAN, resolution_fwhm_pm=bad)
 
     def test_rejects_nonpositive_or_nonfinite_linewidths(self):
         for name in ("pump_linewidth_ghz", "signal_linewidth_ghz", "idler_linewidth_ghz"):
             for bad in (0.0, -1.0, math.nan, math.inf):
                 with pytest.raises(ValueError, match=name):
-                    simulate_jsd_scan(self.SCAN, TRIPLET, **{name: bad})
+                    scan(self.SCAN, **{name: bad})
 
 
 def cell_edges_ghz(axis: SpectralAxis, resonance_nm: float) -> np.ndarray:
@@ -501,8 +535,8 @@ class TestScanProperties:
             pump_linewidth_ghz=pump, signal_linewidth_ghz=signal, idler_linewidth_ghz=idler
         )
         with np.errstate(all="raise"):
-            blurred = simulate_jsd_scan(self.GRID, TRIPLET, **widths)
-            sharp = simulate_jsd_scan(self.GRID, TRIPLET, resolution_fwhm_pm=0.0, **widths)
+            blurred = scan(self.GRID, **widths)
+            sharp = scan(self.GRID, resolution_fwhm_pm=0.0, **widths)
         for matrix in (blurred, sharp):
             assert np.all(np.isfinite(matrix))
             assert np.all(matrix >= 0.0)

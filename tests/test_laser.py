@@ -3,10 +3,13 @@
 The implicit saturated-gain relation is checked against direct numerical
 integration of the distributed gain ODE, the closed-form lasing
 characteristic against the round-trip steady-state root, and that root
-against the saturated-gain solver and the loop-closure condition.
+against the saturated-gain solver and the loop-closure condition.  The
+reference ledger and amplifier come from the packaged default config;
+variants are built from them with :func:`dataclasses.replace`.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,28 +17,34 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from loopfwm.config import default_config_text, parse_config
+from loopfwm.fitting import fit_lasing_curve
 from loopfwm.laser import (
     DB_PER_NEPER,
     GainModel,
-    LossBudget,
     LossElement,
-    NoLasingError,
-    default_gain_model,
     output_power_curve,
     saturated_single_pass_gain,
     steady_state_roundtrip,
-    threshold_current_ma,
 )
 
-BUDGET = LossBudget.paper_default()
-GAIN = default_gain_model()
+CONFIG = parse_config(default_config_text())
+BUDGET = CONFIG.budget
+GAIN = CONFIG.gain
 
-LOSSLESS = LossBudget(
-    elements=(LossElement("patch cord", 0.0),),
-    ring_insertion_db=0.0,
-    ring_index=0,
-    tap_index=0,
-)
+
+def single_element(loss_db: float):
+    """A one-element loop with no ring insertion loss."""
+    return replace(
+        BUDGET,
+        elements=(LossElement("attenuator", loss_db),),
+        ring_insertion_db=0.0,
+        ring_index=0,
+        tap_index=0,
+    )
+
+
+LOSSLESS = single_element(0.0)
 
 
 class TestLossBudget:
@@ -47,8 +56,8 @@ class TestLossBudget:
         assert BUDGET.loop_db == pytest.approx(20.0, abs=1e-12)
 
     def test_single_zero_element(self):
-        budget = LossBudget(
-            elements=(LossElement("patch cord", 0.0),), ring_index=0, tap_index=0
+        budget = replace(
+            BUDGET, elements=(LossElement("patch cord", 0.0),), ring_index=0, tap_index=0
         )
         assert budget.total_db == 0.0
 
@@ -56,7 +65,7 @@ class TestLossBudget:
         elements = tuple(
             e for e in BUDGET.elements if e.name != "bandpass filter (post-ring)"
         )
-        budget = LossBudget(elements=elements, ring_index=4, tap_index=5)
+        budget = replace(BUDGET, elements=elements, tap_index=5)
         assert budget.total_db == pytest.approx(14.5, abs=1e-12)
 
     def test_path_segments(self):
@@ -68,19 +77,19 @@ class TestLossBudget:
 
     def test_rejects_bad_layouts(self):
         with pytest.raises(ValueError, match="at least one element"):
-            LossBudget(elements=())
+            replace(BUDGET, elements=())
         with pytest.raises(ValueError, match="loss_db"):
             LossElement("broken", -1.0)
         with pytest.raises(ValueError, match="tap must come after"):
-            LossBudget(elements=BUDGET.elements, ring_index=4, tap_index=2)
+            replace(BUDGET, tap_index=2)
         with pytest.raises(ValueError, match="ring_insertion_db"):
-            LossBudget(elements=BUDGET.elements, ring_insertion_db=math.inf)
+            replace(BUDGET, ring_insertion_db=math.inf)
 
 
 class TestGainModel:
     def test_calibration_constant(self):
         # 20 dB at 90 mA in nepers per mA.
-        assert GAIN.nepers_per_ma == pytest.approx(
+        assert GAIN.small_signal_gain_np(1.0) == pytest.approx(
             2.0 * math.log(10.0) / 90.0, rel=1e-14
         )
         assert GAIN.small_signal_gain_db(90.0) == pytest.approx(20.0, rel=1e-14)
@@ -91,15 +100,15 @@ class TestGainModel:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="db_per_ma"):
-            GainModel(db_per_ma=0.0)
+            replace(GAIN, db_per_ma=0.0)
         with pytest.raises(ValueError, match="saturation_power_mw"):
-            GainModel(db_per_ma=0.2, saturation_power_mw=-1.0)
+            replace(GAIN, saturation_power_mw=-1.0)
         with pytest.raises(ValueError, match="saturation_power_mw"):
-            GainModel(db_per_ma=0.2, saturation_power_mw=math.inf)
+            replace(GAIN, saturation_power_mw=math.inf)
         with pytest.raises(ValueError, match="max_small_signal_gain_db"):
-            GainModel(db_per_ma=0.2, max_small_signal_gain_db=35.0)
+            replace(GAIN, max_small_signal_gain_db=35.0)
         with pytest.raises(ValueError, match="calibration"):
-            GainModel.from_calibration(current_ma=0.0, gain_db=20.0)
+            GainModel.from_calibration(0.0, 20.0, 8.8, 30.0)
 
 
 class TestSaturatedGain:
@@ -121,8 +130,8 @@ class TestSaturatedGain:
             g0 = rng.uniform(0.5, 6.9)
             input_mw = 10.0 ** rng.uniform(-4.0, 1.5)
             psat = rng.uniform(1.0, 20.0)
-            gain = GainModel(
-                db_per_ma=g0 * DB_PER_NEPER / 100.0, saturation_power_mw=psat
+            gain = replace(
+                GAIN, db_per_ma=g0 * DB_PER_NEPER / 100.0, saturation_power_mw=psat
             )
             got = saturated_single_pass_gain(gain, 100.0, input_mw)
             assert got == pytest.approx(self.ode_gain(g0, input_mw, psat), rel=1e-8)
@@ -147,31 +156,45 @@ class TestSaturatedGain:
         assert abs(residual) < 1e-12
 
 
+def lasing_onset_ma(budget, low: float = 0.0, high: float = 200.0) -> float:
+    """Smallest current, to float resolution, at which the closed-form
+    drop power is positive; ``high`` must lase."""
+    while True:
+        middle = 0.5 * (low + high)
+        if not low < middle < high:
+            return high
+        drop, _ = output_power_curve(GAIN, budget, middle)
+        if drop > 0.0:
+            high = middle
+        else:
+            low = middle
+
+
 class TestThreshold:
+    """Threshold as the current where the lasing curve leaves zero."""
+
     def test_paper_threshold(self):
-        assert threshold_current_ma(GAIN, BUDGET) == pytest.approx(90.0, abs=1e-9)
+        assert lasing_onset_ma(BUDGET) == pytest.approx(90.0, abs=1e-9)
 
     def test_scales_linearly_with_loss(self):
-        half_loss = LossBudget(
-            elements=(LossElement("attenuator", 10.0),),
-            ring_insertion_db=0.0,
-            ring_index=0,
-            tap_index=0,
-        )
-        assert threshold_current_ma(GAIN, half_loss) == pytest.approx(45.0, abs=1e-9)
+        assert lasing_onset_ma(single_element(10.0)) == pytest.approx(45.0, abs=1e-9)
 
     def test_zero_loss(self):
-        assert threshold_current_ma(GAIN, LOSSLESS) == 0.0
+        # A lossless loop has no closed form; two-photon loss bounds its
+        # power, and any current at all makes it lase.
+        dark = steady_state_roundtrip(GAIN, LOSSLESS, 0.0, tpa_db_per_mw=0.02)
+        lit = steady_state_roundtrip(GAIN, LOSSLESS, 1e-9, tpa_db_per_mw=0.02)
+        assert dark.circulating_power_mw == 0.0
+        assert lit.circulating_power_mw > 0.0
 
     def test_cap_below_loss_raises(self):
-        heavy = LossBudget(
-            elements=(LossElement("attenuator", 35.0),),
-            ring_insertion_db=0.0,
-            ring_index=0,
-            tap_index=0,
-        )
-        with pytest.raises(NoLasingError):
-            threshold_current_ma(GAIN, heavy)
+        # The 30 dB gain cap never overcomes a 35 dB loop.
+        currents = np.arange(0.0, 301.0, 5.0)
+        drop, tap = output_power_curve(GAIN, single_element(35.0), currents)
+        assert np.all(drop == 0.0)
+        assert np.all(tap == 0.0)
+        with pytest.raises(ValueError, match="below threshold"):
+            fit_lasing_curve(currents, drop)
 
 
 class TestOutputPowerCurve:
@@ -187,7 +210,7 @@ class TestOutputPowerCurve:
 
     def test_zero_for_a_loss_past_exp_range(self):
         # exp(1e300 dB in nepers) overflows; nothing lases, so it is never taken.
-        lossy = LossBudget(elements=BUDGET.elements, ring_insertion_db=1e300)
+        lossy = replace(BUDGET, ring_insertion_db=1e300)
         drop, tap = output_power_curve(GAIN, lossy, np.array([0.0, 150.0]))
         assert np.all(drop == 0.0)
         assert np.all(tap == 0.0)

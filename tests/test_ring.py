@@ -199,6 +199,14 @@ class TestLinewidth:
         with pytest.raises(ValueError, match="too small"):
             drop_fwhm_nm(RESONANCE_NM, GEOMETRY, lossy)
 
+    @pytest.mark.parametrize("resonance_nm", [1e-300, 1e300])
+    def test_out_of_range_resonance_raises(self, calibrated, resonance_nm):
+        # Squaring 1e-300 nm underflows to a zero width; squaring 1e300 nm
+        # leaves float range.
+        for function in (drop_fwhm_nm, linewidth_ghz):
+            with pytest.raises(ValueError, match="no finite linewidth"):
+                function(resonance_nm, GEOMETRY, calibrated)
+
     def test_linewidth_in_frequency_units(self, calibrated):
         fwhm_nm = drop_fwhm_nm(RESONANCE_NM, GEOMETRY, calibrated)
         expected = SPEED_OF_LIGHT_NM_GHZ * fwhm_nm / RESONANCE_NM**2
