@@ -17,7 +17,8 @@ Subcommands
 Every run validates its configuration up front, writes deterministic
 CSV/text outputs into the output directory, and records a manifest with
 the configuration hash.  Exit codes: 0 success, 2 configuration or
-parameter error, 3 a fit failed to converge, 4 I/O error.
+parameter error, 3 a fit failed to converge or found its data unusable,
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -327,7 +328,6 @@ def _cmd_fwm_sweep(args: argparse.Namespace) -> int:
             args.axis,
             values,
             args.fixed_mw,
-            config.triplet,
             config.geometry,
             config.coupling,
             config.gamma_per_w_m,
@@ -444,16 +444,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     try:
         if args.model == "lorentzian":
             kind = header[value_index] if header[value_index] in ("through", "drop") else "idler"
-            spacing = float(np.median(np.diff(xs)))
-            spectrum = Spectrum(xs, ys, spacing * 1e3, kind)
+            spectrum = Spectrum(xs, ys, kind)
             window = (
                 tuple(args.window_nm) if args.window_nm is not None else (xs[0], xs[-1])
             )
             report = fit_lorentzian(spectrum, window)
         else:
             report = fit_lasing_curve(xs, ys, exclusion_cutoff_ma=args.cutoff_ma)
-    except FitConvergenceError:
-        raise
     except ValueError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 3

@@ -53,7 +53,7 @@ class FitConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A sampled single-valued spectrum with acquisition metadata.
+    """A sampled single-valued spectrum and the port it came from.
 
     ``kind`` records which port or channel the samples came from:
     ``"through"`` and ``"drop"`` are transmissions (bounded by a 5%
@@ -63,7 +63,6 @@ class Spectrum:
 
     wavelengths_nm: np.ndarray
     values: np.ndarray
-    resolution_pm: float
     kind: str
 
     def __post_init__(self) -> None:
@@ -80,12 +79,10 @@ class Spectrum:
             )
         if not np.all(np.isfinite(wavelengths)):
             raise ValueError("wavelengths_nm must be finite")
-        if not np.all(np.diff(wavelengths) > 0.0):
+        if not np.all(wavelengths[1:] > wavelengths[:-1]):
             raise ValueError("wavelengths_nm must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if not (np.isfinite(self.resolution_pm) and self.resolution_pm > 0.0):
-            raise ValueError(f"resolution_pm must be positive, got {self.resolution_pm}")
         if self.kind not in SPECTRUM_KINDS:
             raise ValueError(f"kind must be one of {SPECTRUM_KINDS}, got {self.kind!r}")
         if self.kind in ("through", "drop"):
@@ -148,20 +145,24 @@ def lorentzian_profile(
     baseline: float,
 ) -> np.ndarray:
     """Lorentzian on a constant baseline; ``amplitude`` < 0 is a dip."""
-    detuning = 2.0 * (np.asarray(wavelengths_nm, dtype=float) - center_nm) / fwhm_nm
-    return baseline + amplitude / (1.0 + detuning * detuning)
+    with np.errstate(over="ignore"):
+        detuning = 2.0 * (np.asarray(wavelengths_nm, dtype=float) - center_nm) / fwhm_nm
+        return baseline + amplitude / (1.0 + detuning * detuning)
 
 
 def _lorentzian_jacobian(params: np.ndarray, wavelengths: np.ndarray) -> np.ndarray:
     center, fwhm, amplitude, _ = params
-    u = 2.0 * (wavelengths - center) / fwhm
-    shape = 1.0 / (1.0 + u * u)
-    shape2 = shape * shape
     jac = np.empty((wavelengths.size, 4))
-    jac[:, 0] = amplitude * shape2 * 4.0 * u / fwhm
-    jac[:, 1] = amplitude * shape2 * 2.0 * u * u / fwhm
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = 2.0 * (wavelengths - center) / fwhm
+        shape = 1.0 / (1.0 + u * u)
+        shape2 = shape * shape
+        jac[:, 0] = amplitude * shape2 * 4.0 * u / fwhm
+        jac[:, 1] = amplitude * shape2 * 2.0 * u * u / fwhm
     jac[:, 2] = shape
     jac[:, 3] = 1.0
+    # Past float range the profile is flat at the baseline.
+    jac[~np.isfinite(u), :3] = 0.0
     return jac
 
 
@@ -390,6 +391,13 @@ def weighted_line(
     return slope, intercept, covariance * (scale / sxx)
 
 
+def _unscaled(value: float, exponent: int) -> float:
+    """``value * 2**exponent``, exact; inf when out of range, which the
+    finiteness checks of :class:`FitParameter` and :class:`FitReport` reject."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(value, exponent))
+
+
 def fit_lasing_curve(
     currents_ma: np.ndarray,
     powers_mw: np.ndarray,
@@ -420,30 +428,36 @@ def fit_lasing_curve(
         )
     if not (np.all(np.isfinite(currents)) and np.all(np.isfinite(powers))):
         raise ValueError("currents and powers must be finite")
-    weights = np.ones_like(currents)
-
-    included = np.ones(currents.size, dtype=bool)
+    total = currents.size
     if exclusion_cutoff_ma is not None:
-        included &= currents <= float(exclusion_cutoff_ma)
-    if np.count_nonzero(included) < 4:
+        kept = currents <= float(exclusion_cutoff_ma)
+        currents, powers = currents[kept], powers[kept]
+    if currents.size < 4:
         raise ValueError(
             "at least four points are required below the high-current cutoff"
         )
-    if float(powers[included].max()) <= 0.0:
+    if float(powers.max()) <= 0.0:
         raise ValueError("all points are below threshold; no lasing slope to fit")
-    # Fit in a power-of-two unit of power near the peak.  The rescaling is
-    # exact, so it changes no result, and it keeps squared powers and slopes
-    # in floating-point range for any finite data.
-    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(powers))))[1])
-    powers = powers / unit
-
+    # Fit in power-of-two units of current and power at or just below their
+    # peaks, so every scaled value lies in (-2, 2).  The rescaling is exact,
+    # so it changes no result, and it keeps squared currents, powers and
+    # slopes in floating-point range for any finite data.  The power unit
+    # follows the points still in the fit, so an outlier the hinge drops
+    # costs the others no digits.
+    current_exp = math.frexp(float(np.max(np.abs(currents))))[1] - 1
+    currents = np.ldexp(currents, -current_exp)
+    weights = np.ones_like(currents)
+    included = np.ones(currents.size, dtype=bool)
     for _ in range(currents.size):
+        power_exp = math.frexp(float(np.max(np.abs(powers[included]))))[1] - 1
+        with np.errstate(over="ignore"):  # only a dropped outlier can overflow
+            scaled = np.ldexp(powers, -power_exp)
         slope, intercept, covariance = weighted_line(
-            currents[included], powers[included], weights[included]
+            currents[included], scaled[included], weights[included]
         )
         predicted = slope * currents[included] + intercept
         floor = _HINGE_FLOOR_FRACTION * float(predicted.max())
-        drop = included & (powers < floor)
+        drop = included & (scaled < floor)
         if not np.any(drop[included]):
             break
         included &= ~drop
@@ -451,28 +465,32 @@ def fit_lasing_curve(
             raise ValueError(
                 "fewer than four points remain above threshold after hinge exclusion"
             )
+    slope_exp = power_exp - current_exp
 
     if slope <= 0.0 or not np.isfinite(slope):
-        raise ValueError(f"fitted slope {slope:.4g} mW/mA is not a lasing slope")
+        raise ValueError(
+            f"fitted slope {_unscaled(slope, slope_exp):.4g} mW/mA is not a lasing slope"
+        )
     threshold = -intercept / slope
     gradient = np.array([intercept / slope**2, -1.0 / slope])
     threshold_sigma = float(np.sqrt(max(gradient @ covariance @ gradient, 0.0)))
-    residuals = powers[included] - (slope * currents[included] + intercept)
+    residuals = scaled[included] - (slope * currents[included] + intercept)
 
+    sigmas = np.sqrt(np.maximum(np.diag(covariance), 0.0))
+    scaled_parameters = {
+        "slope_mw_per_ma": (slope, sigmas[0], slope_exp),
+        "intercept_mw": (intercept, sigmas[1], power_exp),
+        "threshold_ma": (threshold, threshold_sigma, current_exp),
+    }
     parameters = {
-        "slope_mw_per_ma": FitParameter(
-            slope * unit, float(np.sqrt(max(covariance[0, 0], 0.0))) * unit
-        ),
-        "intercept_mw": FitParameter(
-            intercept * unit, float(np.sqrt(max(covariance[1, 1], 0.0))) * unit
-        ),
-        "threshold_ma": FitParameter(float(threshold), threshold_sigma),
+        name: FitParameter(_unscaled(value, exp), _unscaled(sigma, exp))
+        for name, (value, sigma, exp) in scaled_parameters.items()
     }
     used = int(np.count_nonzero(included))
     return FitReport(
         parameters=parameters,
-        residual_rms=float(np.sqrt(np.mean(np.square(residuals)))) * unit,
+        residual_rms=_unscaled(np.sqrt(np.mean(np.square(residuals))), power_exp),
         points_used=used,
-        points_excluded=int(currents.size - used),
+        points_excluded=int(total - used),
         model="lasing",
     )

@@ -3,8 +3,8 @@
 Two pump photons on the lasing resonance convert into a signal photon
 and an idler photon on the neighboring resonances.  Energy conservation
 places the idler, and the perturbative (undepleted-pump) conversion
-formula sets its power, with each wave weighted by the ring's intensity
-buildup on its own resonance.
+formula sets its power.  The three resonances share one coupling model,
+so one on-resonance intensity buildup weights all three waves.
 """
 
 from __future__ import annotations
@@ -108,114 +108,22 @@ class FwmTriplet:
         )
 
 
-def idler_power_mw(
-    pump_mw,
-    signal_mw,
-    gamma_per_w_m: float,
-    interaction_length_m: float,
-    pump_enhancement: float = 1.0,
-    signal_enhancement: float = 1.0,
-    idler_enhancement: float = 1.0,
-):
-    """Generated idler power in the perturbative stimulated-FWM limit.
-
-    The conversion scales with the square of the coupled pump power and
-    linearly with the coupled signal power,
-
-        P_i = (gamma * L)**2 * P_p**2 * P_s
-              * IE_p**2 * IE_s * IE_i
-
-    where each ``IE`` is the ring's intensity buildup on the respective
-    resonance; the pump enters with the fourth power of its *field*
-    enhancement, i.e. the square of its intensity enhancement.  Pump
-    depletion and phase mismatch are neglected.
-
-    Parameters
-    ----------
-    pump_mw : float or ndarray
-        Pump power coupled to the add port, in mW.
-    signal_mw : float or ndarray
-        Signal power coupled to the ring, in mW.
-    gamma_per_w_m : float
-        Nonlinear parameter in 1/(W*m).
-    interaction_length_m : float
-        Interaction length (the ring circumference), in meters.
-    pump_enhancement, signal_enhancement, idler_enhancement : float
-        Intensity buildup factors on the three resonances.
-
-    Returns
-    -------
-    float or ndarray
-        Idler power in mW (absolute within the calibration of ``gamma``).
-    """
-    pump_mw = np.asarray(pump_mw, dtype=float)
-    signal_mw = np.asarray(signal_mw, dtype=float)
-    if np.any(pump_mw < 0.0) or np.any(signal_mw < 0.0):
-        raise ValueError("pump_mw and signal_mw must be >= 0")
-    if gamma_per_w_m <= 0.0:
-        raise ValueError(f"gamma_per_w_m must be positive, got {gamma_per_w_m}")
-    if interaction_length_m <= 0.0:
-        raise ValueError(
-            f"interaction_length_m must be positive, got {interaction_length_m}"
-        )
-    for name, value in (
-        ("pump_enhancement", pump_enhancement),
-        ("signal_enhancement", signal_enhancement),
-        ("idler_enhancement", idler_enhancement),
-    ):
-        if value <= 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
-    pump_w = pump_mw * 1e-3
-    signal_w = signal_mw * 1e-3
-    # A numpy square overflows to inf, which callers can test for; a Python
-    # float power would raise OverflowError instead.
-    idler_w = (
-        np.float64(gamma_per_w_m * interaction_length_m) ** 2
-        * pump_w**2
-        * signal_w
-        * pump_enhancement**2
-        * signal_enhancement
-        * idler_enhancement
-    )
-    result = idler_w * 1e3
-    return float(result) if result.ndim == 0 else result
-
-
-def idler_power_on_ring(
-    triplet: FwmTriplet,
-    pump_mw,
-    signal_mw,
-    geometry: RingGeometry,
-    coupling: RingCoupling,
-    gamma_per_w_m: float,
-):
-    """Idler power with enhancements evaluated at the ring's resonance centers.
-
-    With a single wavelength-independent coupling model the pump, signal
-    and idler resonances share one on-resonance buildup.
-    """
-    on_resonance = float(field_enhancement(0.0, coupling))
-    return idler_power_mw(
-        pump_mw,
-        signal_mw,
-        gamma_per_w_m=gamma_per_w_m,
-        interaction_length_m=geometry.circumference_nm * 1e-9,
-        pump_enhancement=on_resonance,
-        signal_enhancement=on_resonance,
-        idler_enhancement=on_resonance,
-    )
-
-
 def conversion_sweep(
     axis: str,
     values_mw: np.ndarray,
     fixed_mw: float,
-    triplet: FwmTriplet,
     geometry: RingGeometry,
     coupling: RingCoupling,
     gamma_per_w_m: float,
 ):
     """Idler power versus pump or signal power, the other held fixed.
+
+    In the perturbative (undepleted-pump, phase-matched) limit,
+
+        P_i = (gamma * L)**2 * P_p**2 * P_s * B**2 * B * B
+
+    with ``L`` the ring circumference and ``B`` the on-resonance intensity
+    buildup that the pump, signal and idler resonances share.
 
     Parameters
     ----------
@@ -225,6 +133,8 @@ def conversion_sweep(
         Swept power values in mW.
     fixed_mw : float
         The fixed power of the other wave, in mW.
+    gamma_per_w_m : float
+        Nonlinear parameter in 1/(W*m).
 
     Returns
     -------
@@ -234,10 +144,22 @@ def conversion_sweep(
     if axis not in ("pump", "signal"):
         raise ValueError(f"axis must be 'pump' or 'signal', got {axis!r}")
     values_mw = np.asarray(values_mw, dtype=float)
-    if axis == "pump":
-        return idler_power_on_ring(
-            triplet, values_mw, fixed_mw, geometry, coupling, gamma_per_w_m
-        )
-    return idler_power_on_ring(
-        triplet, fixed_mw, values_mw, geometry, coupling, gamma_per_w_m
+    fixed_mw = np.asarray(fixed_mw, dtype=float)
+    if np.any(values_mw < 0.0) or fixed_mw < 0.0:
+        raise ValueError("pump and signal powers must be >= 0")
+    if gamma_per_w_m <= 0.0:
+        raise ValueError(f"gamma_per_w_m must be positive, got {gamma_per_w_m}")
+    pump_mw, signal_mw = (values_mw, fixed_mw) if axis == "pump" else (fixed_mw, values_mw)
+    buildup = float(field_enhancement(0.0, coupling))
+    length_m = geometry.circumference_nm * 1e-9
+    # A numpy square overflows to inf, which callers can test for; a Python
+    # float power would raise OverflowError instead.
+    idler_w = (
+        np.float64(gamma_per_w_m * length_m) ** 2
+        * (pump_mw * 1e-3) ** 2
+        * (signal_mw * 1e-3)
+        * buildup**2
+        * buildup
+        * buildup
     )
+    return idler_w * 1e3

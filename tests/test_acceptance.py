@@ -15,7 +15,7 @@ import pytest
 from loopfwm.cli import main
 from loopfwm.config import default_config_text, parse_config
 from loopfwm.fitting import Spectrum, fit_lasing_curve, fit_lorentzian
-from loopfwm.fwm import idler_power_on_ring, idler_wavelength
+from loopfwm.fwm import conversion_sweep, idler_wavelength
 from loopfwm.instrument import centered_grid, range_grid
 from loopfwm.jsd import SpectralAxis, SpectralGrid, jsa, ridge_fit, schmidt, simulate_jsd_scan
 from loopfwm.laser import output_power_curve, saturated_single_pass_gain, steady_state_roundtrip
@@ -112,11 +112,11 @@ def test_criterion_04_idler_energy_conservation(capsys):
 
 
 def test_criterion_05_conversion_scaling(capsys):
-    triplet, geometry, coupling = CONFIG.triplet, CONFIG.geometry, CONFIG.coupling
+    geometry, coupling = CONFIG.geometry, CONFIG.coupling
     powers = np.geomspace(1e-3, 1.0, 97)
     start = time.perf_counter()
-    versus_pump = idler_power_on_ring(triplet, powers, 1.0, geometry, coupling, 300.0)
-    versus_signal = idler_power_on_ring(triplet, 1.0, powers, geometry, coupling, 300.0)
+    versus_pump = conversion_sweep("pump", powers, 1.0, geometry, coupling, 300.0)
+    versus_signal = conversion_sweep("signal", powers, 1.0, geometry, coupling, 300.0)
     pump_slope = np.polyfit(np.log10(powers), np.log10(versus_pump), 1)[0]
     signal_slope = np.polyfit(np.log10(powers), np.log10(versus_signal), 1)[0]
     elapsed = time.perf_counter() - start
@@ -200,7 +200,7 @@ def test_criterion_08_fitter_recovery(capsys):
         rng = np.random.default_rng(seed)
         noisy = clean + rng.normal(0.0, 0.01 * amplitude, size=grid.size)
         report = fit_lorentzian(
-            Spectrum(grid, noisy, 50.0, "drop"), (1555.87 - 3.0, 1555.87 + 3.0)
+            Spectrum(grid, noisy, "drop"), (1555.87 - 3.0, 1555.87 + 3.0)
         )
         worst = max(worst, abs(report.value("quality_factor") - q_true) / q_true)
 

@@ -5,6 +5,7 @@ argument lists; subprocess tests confirm the module entry point and which
 modules a fresh process imports.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -198,6 +199,20 @@ class TestFwmSweep:
         assert main(["fwm-sweep", "--axis", "signal", "--out", str(out)]) == 0
         assert self.slope_from(out / "fwm_sweep.csv") == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "axis, digest",
+        [
+            ("pump", "b613fff664ccd8def65a87b36f6fd436c258a6970e3e5ecd1b546e121be7ea5c"),
+            ("signal", "84cd024a7d79a9f382d8ddaa0c4bae14004a116ee0d935686308db07af2b5a62"),
+        ],
+    )
+    def test_default_sweep_bytes(self, tmp_path, axis, digest):
+        # The SHA-256 of the default sweep, so a change to the conversion
+        # formula's arithmetic shows as a changed file.
+        out = tmp_path / "run"
+        assert main(["fwm-sweep", "--axis", axis, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "fwm_sweep.csv").read_bytes()).hexdigest() == digest
+
     def test_single_point_rejected(self, tmp_path):
         code = main(["fwm-sweep", "--out", str(tmp_path / "run"), "--points", "1"])
         assert code == 2
@@ -284,6 +299,18 @@ class TestFit:
             encoding="utf-8",
         )
         code = main(["fit", str(dark), "--model", "lasing", "--out", str(tmp_path)])
+        assert code == 3
+        assert "fit failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows",
+        [["1555.0,0.5"], ["1555.0,0.5", "inf,0.4", "inf,0.3"]],
+        ids=["one_row", "infinite_wavelength"],
+    )
+    def test_unusable_spectrum_exit_code(self, tmp_path, capsys, rows):
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("wavelength_nm,drop\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["fit", str(spectrum), "--model", "lorentzian", "--out", str(tmp_path)])
         assert code == 3
         assert "fit failed" in capsys.readouterr().err
 
@@ -445,6 +472,59 @@ class TestArgvFuzz:
         else:
             argv = ["fit", str(fit_inputs / "laser_curve.csv"), "--model", "lasing"] + cutoff
         self.run(argv)
+
+
+# Values a CSV may hold at the edges of float range, for ``fit`` to read.
+CSV_EDGES = (math.nan, math.inf, -math.inf, 0.0, 1e300, -1e300, 1e-300, 1.7e308, -1.7e308)
+# A clean 12-row curve per model, which the fuzz then edits: a lasing curve
+# with its threshold at 90 mA, and a drop-port peak 0.57 nm wide at 1555.87 nm.
+CSV_BASE = {
+    "lasing": (
+        "current_mA,drop_power_mw",
+        [(60.0 + 5.0 * i, max(0.0, 0.02 * (5.0 * i - 30.0))) for i in range(12)],
+    ),
+    "lorentzian": (
+        "wavelength_nm,drop",
+        [(1555.57 + 0.05 * i, 0.9 / (1.0 + (0.05 * i - 0.3) ** 2 / 0.08)) for i in range(12)],
+    ),
+}
+
+
+class TestCsvFuzz:
+    """Edge-value CSVs for ``fit``: what it reads, not only its flags."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        model=st.sampled_from(["lorentzian", "lasing"]),
+        count=st.integers(0, 12),
+        edits=st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 1), st.sampled_from(CSV_EDGES)),
+            max_size=12,
+        ),
+        order=st.sampled_from(["increasing", "repeated", "decreasing"]),
+    )
+    @example(model="lasing", count=12, edits=[(11, 1, 1.7e308)], order="increasing")
+    @example(model="lasing", count=12, edits=[(11, 0, 1e300)], order="increasing")
+    @example(model="lasing", count=11, edits=[(3, 1, -1.7e308)], order="increasing")
+    @example(model="lorentzian", count=2, edits=[(0, 0, 1.7e308), (1, 0, -1.7e308)],
+             order="increasing")
+    @example(model="lorentzian", count=10, edits=[(0, 0, -1.7e308)], order="increasing")
+    def test_fit(self, model, count, edits, order):
+        header, base = CSV_BASE[model]
+        rows = [list(row) for row in base[:count]]
+        for row, column, value in edits:
+            if row < count:
+                rows[row][column] = value
+        if order == "repeated" and count >= 2:
+            rows[1][0] = rows[0][0]
+        elif order == "decreasing":
+            rows.reverse()
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "input.csv"
+            path.write_text(
+                header + "\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows), encoding="utf-8"
+            )
+            run_edge_case(["fit", str(path), "--model", model], Path(scratch))
 
 
 def numeric_keys(node, path=()):

@@ -41,32 +41,28 @@ def synthetic_lorentzian(window_half_nm, step_nm, fwhm_nm, amplitude, baseline):
 class TestSpectrumType:
     def test_rejects_unsorted_wavelengths(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            Spectrum(np.array([1.0, 3.0, 2.0]), np.zeros(3), 50.0, "drop")
+            Spectrum(np.array([1.0, 3.0, 2.0]), np.zeros(3), "drop")
 
     def test_rejects_nonfinite_values(self):
         with pytest.raises(ValueError, match="finite"):
-            Spectrum(np.array([1.0, 2.0, 3.0]), np.array([0.0, np.nan, 0.0]), 50.0, "drop")
+            Spectrum(np.array([1.0, 2.0, 3.0]), np.array([0.0, np.nan, 0.0]), "drop")
 
     def test_rejects_out_of_range_transmission(self):
         with pytest.raises(ValueError, match="transmission"):
-            Spectrum(np.array([1.0, 2.0]), np.array([0.0, 1.2]), 50.0, "through")
+            Spectrum(np.array([1.0, 2.0]), np.array([0.0, 1.2]), "through")
         with pytest.raises(ValueError, match="transmission"):
-            Spectrum(np.array([1.0, 2.0]), np.array([-0.1, 0.5]), 50.0, "drop")
+            Spectrum(np.array([1.0, 2.0]), np.array([-0.1, 0.5]), "drop")
 
     def test_idler_kind_is_unbounded_above(self):
-        spectrum = Spectrum(np.array([1.0, 2.0]), np.array([0.0, 7.5]), 50.0, "idler")
+        spectrum = Spectrum(np.array([1.0, 2.0]), np.array([0.0, 7.5]), "idler")
         assert spectrum.size == 2
 
     def test_allows_noise_headroom(self):
-        Spectrum(np.array([1.0, 2.0]), np.array([0.3, 1.04]), 50.0, "through")
+        Spectrum(np.array([1.0, 2.0]), np.array([0.3, 1.04]), "through")
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            Spectrum(np.array([1.0, 2.0]), np.zeros(2), 50.0, "add")
-
-    def test_rejects_bad_resolution(self):
-        with pytest.raises(ValueError, match="resolution_pm"):
-            Spectrum(np.array([1.0, 2.0]), np.zeros(2), 0.0, "drop")
+            Spectrum(np.array([1.0, 2.0]), np.zeros(2), "add")
 
 
 class TestFitReportType:
@@ -87,7 +83,7 @@ class TestFitReportType:
 class TestLorentzianFit:
     def test_recovers_noiseless_model(self):
         grid, values = synthetic_lorentzian(4.0, 0.01, 0.57, -0.19, 0.2)
-        spectrum = Spectrum(grid, values, 10.0, "through")
+        spectrum = Spectrum(grid, values, "through")
         report = fit_lorentzian(spectrum, (CENTER_NM - 4.0, CENTER_NM + 4.0))
         assert report.value("center_nm") == pytest.approx(CENTER_NM, rel=1e-6)
         assert report.value("fwhm_nm") == pytest.approx(0.57, rel=1e-6)
@@ -98,7 +94,7 @@ class TestLorentzianFit:
     def test_quality_factor_is_center_over_fwhm(self):
         grid, values = synthetic_lorentzian(3.0, 0.05, 0.57, 0.6, 0.1)
         report = fit_lorentzian(
-            Spectrum(grid, values, 50.0, "drop"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
+            Spectrum(grid, values, "drop"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
         )
         assert report.value("quality_factor") == pytest.approx(
             report.value("center_nm") / report.value("fwhm_nm"), rel=1e-12
@@ -107,12 +103,12 @@ class TestLorentzianFit:
     def test_dip_reports_extinction_peak_reports_peak(self):
         grid, dip = synthetic_lorentzian(3.0, 0.05, 0.57, -0.76, 0.8)
         report = fit_lorentzian(
-            Spectrum(grid, dip, 50.0, "through"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
+            Spectrum(grid, dip, "through"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
         )
         assert report.value("extinction") == pytest.approx(0.04, rel=1e-6)
         grid, peak = synthetic_lorentzian(3.0, 0.05, 0.57, 0.6, 0.05)
         report = fit_lorentzian(
-            Spectrum(grid, peak, 50.0, "drop"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
+            Spectrum(grid, peak, "drop"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
         )
         assert report.value("peak") == pytest.approx(0.65, rel=1e-6)
 
@@ -127,7 +123,7 @@ class TestLorentzianFit:
             rng = np.random.default_rng(seed)
             noisy = clean + rng.normal(0.0, 0.01 * amplitude, size=grid.size)
             report = fit_lorentzian(
-                Spectrum(grid, noisy, 50.0, "drop"),
+                Spectrum(grid, noisy, "drop"),
                 (CENTER_NM - 3.0, CENTER_NM + 3.0),
             )
             error = abs(report.value("quality_factor") - Q_TARGET) / Q_TARGET
@@ -138,7 +134,7 @@ class TestLorentzianFit:
         grid = centered_grid(CENTER_NM, 6.0, 0.05)
         values = drop_spectrum(grid, CENTER_NM, GEOMETRY, COUPLING)
         report = fit_lorentzian(
-            Spectrum(grid, values, 50.0, "drop"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
+            Spectrum(grid, values, "drop"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
         )
         assert 2500.0 <= report.value("quality_factor") <= 3000.0
 
@@ -146,7 +142,7 @@ class TestLorentzianFit:
         grid = centered_grid(CENTER_NM, 6.0, 0.05)
         values = through_spectrum(grid, CENTER_NM, GEOMETRY, COUPLING)
         report = fit_lorentzian(
-            Spectrum(grid, values, 50.0, "through"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
+            Spectrum(grid, values, "through"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
         )
         assert report.value("extinction") == pytest.approx(0.04, abs=0.005)
         assert report.value("extinction") < 0.05
@@ -158,7 +154,7 @@ class TestLorentzianFit:
             + lorentzian_profile(grid, CENTER_NM - 2.0, 0.57, -0.7, 0.0)
             + lorentzian_profile(grid, CENTER_NM + 2.0, 0.57, -0.7, 0.0)
         )
-        spectrum = Spectrum(grid, values, 50.0, "through")
+        spectrum = Spectrum(grid, values, "through")
         with pytest.raises(ValueError, match="more than one resonance"):
             fit_lorentzian(spectrum, (CENTER_NM - 4.0, CENTER_NM + 4.0))
 
@@ -167,13 +163,13 @@ class TestLorentzianFit:
         grid, values = synthetic_lorentzian(3.0, 0.2, fwhm, 0.6, 0.1)
         with pytest.raises(ValueError, match="across the fitted linewidth"):
             fit_lorentzian(
-                Spectrum(grid, values, 200.0, "drop"),
+                Spectrum(grid, values, "drop"),
                 (CENTER_NM - 3.0, CENTER_NM + 3.0),
             )
 
     def test_rejects_empty_or_reversed_window(self):
         grid, values = synthetic_lorentzian(3.0, 0.05, 0.57, 0.6, 0.1)
-        spectrum = Spectrum(grid, values, 50.0, "drop")
+        spectrum = Spectrum(grid, values, "drop")
         with pytest.raises(ValueError, match="start < stop"):
             fit_lorentzian(spectrum, (CENTER_NM + 1.0, CENTER_NM - 1.0))
         with pytest.raises(ValueError, match="samples"):
@@ -184,7 +180,7 @@ class TestLorentzianFit:
         rng = np.random.default_rng(11)
         noisy = clean + rng.normal(0.0, 0.006, size=grid.size)
         report = fit_lorentzian(
-            Spectrum(grid, noisy, 50.0, "drop"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
+            Spectrum(grid, noisy, "drop"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
         )
         assert report.sigma("center_nm") > 0.0
         assert abs(report.value("center_nm") - CENTER_NM) < 5.0 * report.sigma("center_nm")
@@ -192,7 +188,7 @@ class TestLorentzianFit:
 
     def test_point_accounting(self):
         grid, values = synthetic_lorentzian(4.0, 0.05, 0.57, 0.6, 0.1)
-        spectrum = Spectrum(grid, values, 50.0, "drop")
+        spectrum = Spectrum(grid, values, "drop")
         report = fit_lorentzian(spectrum, (CENTER_NM - 2.0, CENTER_NM + 2.0))
         assert report.points_used + report.points_excluded == spectrum.size
         assert report.points_excluded > 0
@@ -396,6 +392,40 @@ class TestLasingCurveFit:
         assert scaled.residual_rms == math.ldexp(base.residual_rms, exponent)
         assert scaled.value("threshold_ma") == base.value("threshold_ma")
         assert scaled.sigma("threshold_ma") == base.sigma("threshold_ma")
+        assert scaled.points_used == base.points_used
+
+    def test_peak_power_at_float_max(self):
+        # A peak at or above 2**1023 mW still has a power-of-two unit.
+        currents = np.arange(100.0, 151.0, 10.0)
+        powers = np.ldexp(currents, 1016)
+        assert powers.max() >= math.ldexp(1.0, 1023)
+        report = fit_lasing_curve(currents, powers)
+        assert report.value("slope_mw_per_ma") == pytest.approx(math.ldexp(1.0, 1016), rel=1e-12)
+        assert report.value("threshold_ma") == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("exponent", [-990, -3, 3, 990])
+    def test_current_scale_is_exact(self, exponent):
+        # Scaling the currents (and the cutoff) by a power of two scales the
+        # threshold by that factor and the slope by its inverse, bit for bit,
+        # even where squared currents would leave float range.
+        powers, _ = output_power_curve(self.GAIN, self.BUDGET, self.CURRENTS)
+        base = fit_lasing_curve(self.CURRENTS, powers, exclusion_cutoff_ma=130.0)
+        scaled = fit_lasing_curve(
+            np.ldexp(self.CURRENTS, exponent),
+            powers,
+            exclusion_cutoff_ma=math.ldexp(130.0, exponent),
+        )
+        assert scaled.value("slope_mw_per_ma") == math.ldexp(
+            base.value("slope_mw_per_ma"), -exponent
+        )
+        assert scaled.sigma("slope_mw_per_ma") == math.ldexp(
+            base.sigma("slope_mw_per_ma"), -exponent
+        )
+        assert scaled.value("threshold_ma") == math.ldexp(base.value("threshold_ma"), exponent)
+        assert scaled.sigma("threshold_ma") == math.ldexp(base.sigma("threshold_ma"), exponent)
+        assert scaled.value("intercept_mw") == base.value("intercept_mw")
+        assert scaled.sigma("intercept_mw") == base.sigma("intercept_mw")
+        assert scaled.residual_rms == base.residual_rms
         assert scaled.points_used == base.points_used
 
     def test_rejects_all_dark_data(self):

@@ -7,16 +7,10 @@ model output, independent of the implementation's normalization.
 import numpy as np
 import pytest
 
-from loopfwm.fwm import (
-    FwmTriplet,
-    conversion_sweep,
-    idler_power_mw,
-    idler_power_on_ring,
-    idler_wavelength,
-)
+from loopfwm.fwm import FwmTriplet, conversion_sweep, idler_wavelength
 from loopfwm.config import default_config_text, parse_config
 from loopfwm.laser import steady_state_roundtrip
-from loopfwm.ring import RingGeometry, solve_coupling
+from loopfwm.ring import RingCoupling, RingGeometry, solve_coupling
 
 GEOMETRY = RingGeometry.from_fsr(radius_um=10.0, fsr_nm=7.5, wavelength_nm=1555.87)
 COUPLING = solve_coupling(GEOMETRY, 1555.87, loaded_q_target=2750.0, through_extinction=0.04)
@@ -69,94 +63,76 @@ class TestTriplet:
             FwmTriplet(pump_nm=1555.87, signal_nm=1555.87, idler_nm=1555.87)
 
 
+def sweep(axis, values, fixed, gamma=GAMMA, coupling=COUPLING):
+    return conversion_sweep(axis, values, fixed, GEOMETRY, coupling, gamma)
+
+
 class TestIdlerPower:
     def test_doubling_laws(self):
-        base = idler_power_mw(1.0, 0.1, GAMMA, 6.3e-5)
-        assert idler_power_mw(2.0, 0.1, GAMMA, 6.3e-5) == pytest.approx(
-            4.0 * base, rel=1e-12
-        )
-        assert idler_power_mw(1.0, 0.2, GAMMA, 6.3e-5) == pytest.approx(
-            2.0 * base, rel=1e-12
-        )
+        versus_pump = sweep("pump", np.array([1.0, 2.0]), 0.1)
+        assert versus_pump[1] == pytest.approx(4.0 * versus_pump[0], rel=1e-12)
+        versus_signal = sweep("signal", np.array([0.1, 0.2]), 1.0)
+        assert versus_signal[1] == pytest.approx(2.0 * versus_signal[0], rel=1e-12)
+        assert versus_signal[0] == pytest.approx(versus_pump[0], rel=1e-15)
 
     def test_loglog_slopes_across_four_decades(self):
         pump = np.logspace(-2.0, 2.0, 41)
-        idler_vs_pump = idler_power_mw(pump, 0.13, GAMMA, 6.3e-5)
+        idler_vs_pump = sweep("pump", pump, 0.13)
         slopes = np.diff(np.log(idler_vs_pump)) / np.diff(np.log(pump))
         np.testing.assert_allclose(slopes, 2.0, atol=1e-9)
 
         signal = np.logspace(-4.0, 0.0, 41)
-        idler_vs_signal = idler_power_mw(1.87, signal, GAMMA, 6.3e-5)
+        idler_vs_signal = sweep("signal", signal, 1.87)
         slopes = np.diff(np.log(idler_vs_signal)) / np.diff(np.log(signal))
         np.testing.assert_allclose(slopes, 1.0, atol=1e-9)
 
     def test_hand_computed_magnitude(self):
-        # (gamma*L)^2 * Pp^2 * Ps in watts, converted back to mW.
-        got = idler_power_mw(1.87, 0.13, 300.0, 2.0e-5)
-        expected = (300.0 * 2.0e-5) ** 2 * (1.87e-3) ** 2 * 0.13e-3 * 1e3
+        # Lossless couplers with t1 = t2 = 1/2 build the intensity up by
+        # B = (1 - 1/4) / (1 - 1/4)**2 = 4/3; the ring multiplies the bare
+        # (gamma*L)^2 * Pp^2 * Ps, in watts, by B**4.
+        coupling = RingCoupling(through_amplitude=0.5, drop_amplitude=0.5, loss_amplitude=1.0)
+        got = sweep("pump", np.array([1.87]), 0.13, gamma=300.0, coupling=coupling)[0]
+        length_m = GEOMETRY.circumference_nm * 1e-9
+        expected = (300.0 * length_m) ** 2 * (1.87e-3) ** 2 * 0.13e-3 * 1e3 * (4.0 / 3.0) ** 4
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_signal_idler_enhancement_symmetry(self):
-        a = idler_power_mw(1.0, 0.1, GAMMA, 6.3e-5, 3.9, 2.0, 5.0)
-        b = idler_power_mw(1.0, 0.1, GAMMA, 6.3e-5, 3.9, 5.0, 2.0)
-        assert a == pytest.approx(b, rel=1e-14)
-
-    def test_pump_enhancement_enters_squared(self):
-        base = idler_power_mw(1.0, 0.1, GAMMA, 6.3e-5, 1.0, 1.0, 1.0)
-        boosted = idler_power_mw(1.0, 0.1, GAMMA, 6.3e-5, 3.0, 1.0, 1.0)
-        assert boosted == pytest.approx(9.0 * base, rel=1e-12)
-
     def test_reference_operating_point_nonzero(self):
-        triplet = FwmTriplet.from_pump_signal(1555.87, 1563.45)
-        power = idler_power_on_ring(triplet, 1.87, 0.13, GEOMETRY, COUPLING, GAMMA)
-        assert power > 0.0
+        assert sweep("pump", np.array([1.87]), 0.13)[0] > 0.0
 
     def test_overflow_is_infinite(self):
         # (gamma*L)**2 leaves float range; the caller sees inf, not an exception.
         with np.errstate(over="ignore"):
-            assert idler_power_mw(1.0, 0.1, 1e300, 6.3e-5) == np.inf
-            swept = idler_power_mw(np.array([1e-3, 1.0]), 0.1, 1e300, 6.3e-5)
+            swept = sweep("pump", np.array([1e-3, 1.0]), 0.1, gamma=1e300)
+            fixed_overflows = sweep("signal", np.array([1e-3, 1.0]), 1e300)
         assert np.all(swept == np.inf)
+        assert np.all(fixed_overflows == np.inf)
 
     def test_validation(self):
         with pytest.raises(ValueError, match=">= 0"):
-            idler_power_mw(-1.0, 0.1, GAMMA, 6.3e-5)
+            sweep("pump", np.array([-1.0]), 0.1)
+        with pytest.raises(ValueError, match=">= 0"):
+            sweep("pump", np.array([1.0]), -0.1)
         with pytest.raises(ValueError, match="gamma_per_w_m"):
-            idler_power_mw(1.0, 0.1, 0.0, 6.3e-5)
-        with pytest.raises(ValueError, match="pump_enhancement"):
-            idler_power_mw(1.0, 0.1, GAMMA, 6.3e-5, pump_enhancement=-1.0)
+            sweep("pump", np.array([1.0]), 0.1, gamma=0.0)
 
 
 class TestConversionSweep:
-    TRIPLET = FwmTriplet.from_pump_signal(1555.87, 1563.45)
-
     def test_zero_fixed_power_gives_zero_curve(self):
-        values = np.linspace(0.1, 2.0, 10)
-        idler = conversion_sweep(
-            "pump", values, 0.0, self.TRIPLET, GEOMETRY, COUPLING, GAMMA
-        )
+        idler = sweep("pump", np.linspace(0.1, 2.0, 10), 0.0)
         assert np.all(idler == 0.0)
 
     def test_pump_axis_is_quadratic(self):
-        values = np.array([0.5, 1.0, 2.0])
-        idler = conversion_sweep(
-            "pump", values, 0.13, self.TRIPLET, GEOMETRY, COUPLING, GAMMA
-        )
+        idler = sweep("pump", np.array([0.5, 1.0, 2.0]), 0.13)
         assert idler[1] / idler[0] == pytest.approx(4.0, rel=1e-12)
         assert idler[2] / idler[1] == pytest.approx(4.0, rel=1e-12)
 
     def test_signal_axis_is_linear(self):
-        values = np.array([0.05, 0.1, 0.2])
-        idler = conversion_sweep(
-            "signal", values, 1.87, self.TRIPLET, GEOMETRY, COUPLING, GAMMA
-        )
+        idler = sweep("signal", np.array([0.05, 0.1, 0.2]), 1.87)
         assert idler[1] / idler[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError, match="axis"):
-            conversion_sweep(
-                "current", np.array([1.0]), 0.1, self.TRIPLET, GEOMETRY, COUPLING, GAMMA
-            )
+            sweep("current", np.array([1.0]), 0.1)
 
     def test_composition_with_lasing_curve(self):
         # Pump power from the loop laser at each drive current; the
@@ -172,9 +148,7 @@ class TestConversionSweep:
             pumps.append(
                 point.circulating_power_mw * 10.0 ** (-budget.amplifier_to_ring_db / 10.0)
             )
-        idler = idler_power_on_ring(
-            self.TRIPLET, np.asarray(pumps), 0.13, GEOMETRY, COUPLING, GAMMA
-        )
+        idler = sweep("pump", np.asarray(pumps), 0.13)
         assert np.all(np.diff(idler) >= -1e-15)
         below_cap = idler[currents < 135.0]
         assert np.all(np.diff(below_cap) > 0.0)
@@ -186,10 +160,7 @@ class TestEnhancements:
         # the ring multiplies the bare conversion by B**2 * B * B.
         kappa_sq = 1.0 - COUPLING.through_amplitude**2
         buildup = kappa_sq / (1.0 - COUPLING.roundtrip_factor) ** 2
-        triplet = FwmTriplet.from_pump_signal(1555.87, 1563.45)
         length_m = GEOMETRY.circumference_nm * 1e-9
-        on_ring = idler_power_on_ring(triplet, 0.7, 0.3, GEOMETRY, COUPLING, GAMMA)
-        bare = idler_power_mw(0.7, 0.3, GAMMA, length_m)
+        on_ring = sweep("pump", np.array([0.7]), 0.3)[0]
+        bare = (GAMMA * length_m) ** 2 * (0.7e-3) ** 2 * 0.3e-3 * 1e3
         assert on_ring == pytest.approx(bare * buildup**4, rel=1e-12)
-        explicit = idler_power_mw(0.7, 0.3, GAMMA, length_m, buildup, buildup, buildup)
-        assert on_ring == pytest.approx(explicit, rel=1e-12)
