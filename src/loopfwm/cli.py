@@ -84,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--config", type=Path, default=None, help="config file (YAML)")
         sub.add_argument("--out", type=Path, default=None, help="output directory")
-        sub.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     ring = commands.add_parser(
         "ring-spectrum", help="sample through/drop port transmission spectra"
@@ -190,13 +189,11 @@ def _write_manifest(
     outputs: list[str],
     started: float,
 ) -> None:
-    seed = config.seed if args.seed is None else int(args.seed)
     manifest = {
         "command": args.command,
         "config_input": origin,
         "config_sha256": hashlib.sha256(config.source_text.encode("utf-8")).hexdigest(),
         "outputs": sorted(outputs),
-        "seed": seed,
         "version": __version__,
         "wall_clock_seconds": round(time.monotonic() - started, 6),
     }

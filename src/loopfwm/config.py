@@ -54,7 +54,6 @@ class ExperimentConfig:
     spectrum_resolution_pm: float
     jsd_resolution_pm: float
     output_dir: str
-    seed: int
 
 
 def default_config_text() -> str:
@@ -97,9 +96,6 @@ def parse_config(text: str) -> ExperimentConfig:
     grid, pump_linewidth = _parse_jsd(_pop_mapping(document, "jsd", ""))
     spectrum_res, jsd_res = _parse_instrument(_pop_mapping(document, "instrument", ""))
     output_dir = _pop_value(document, "output_dir", "", str)
-    seed = _pop_value(document, "seed", "", int)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     _reject_unknown(document, "")
 
     return ExperimentConfig(
@@ -116,7 +112,6 @@ def parse_config(text: str) -> ExperimentConfig:
         spectrum_resolution_pm=spectrum_res,
         jsd_resolution_pm=jsd_res,
         output_dir=output_dir,
-        seed=seed,
     )
 
 

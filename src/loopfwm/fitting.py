@@ -2,9 +2,9 @@
 
 The module provides three fitters:
 
-* :func:`fit_lorentzian` — a Lorentzian-plus-baseline resonance fit used
-  to extract center, linewidth, and quality factor from a sampled port
-  spectrum.
+* :func:`fit_lorentzian` — a Lorentzian-plus-baseline resonance fit, by a
+  numpy Levenberg–Marquardt, of the center, linewidth, and quality factor
+  of a sampled port spectrum.
 * :func:`fit_lasing_curve` — a linear fit of output power versus drive
   current with iterative hinge detection, so below-threshold points are
   excluded automatically and the threshold current is reported as the
@@ -45,6 +45,10 @@ _ISOLATION_FRACTION = 0.7
 
 _MIN_POINTS_ACROSS_FWHM = 10
 _HINGE_FLOOR_FRACTION = 0.05
+
+# The Lorentzian fit's budget of trial steps, and its relative tolerance.
+_LM_MAX_STEPS = 100
+_LM_TOLERANCE = 1e-13
 
 
 class FitConvergenceError(RuntimeError):
@@ -177,6 +181,37 @@ def _covariance_from_jacobian(jacobian: np.ndarray, residuals: np.ndarray) -> np
     return unit_cov * scale
 
 
+def _levenberg_marquardt(
+    wavelengths: np.ndarray, values: np.ndarray, params: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares Lorentzian parameters from ``params``, and their residuals,
+    by Marquardt's damped step in the columns of J scaled to unit norm (Moré)."""
+    residuals = lorentzian_profile(wavelengths, *params) - values
+    cost = float(residuals @ residuals)
+    damping = 1e-3
+    for _ in range(_LM_MAX_STEPS):
+        jacobian = _lorentzian_jacobian(params, wavelengths)
+        scale = np.fmax(np.linalg.norm(jacobian, axis=0), np.finfo(float).tiny)
+        u, s, vt = np.linalg.svd(jacobian / scale, full_matrices=False)
+        projected = u.T @ residuals
+        # No step lowers the linearized cost by more than ‖Uᵀr‖².  Once that is
+        # below rounding, a step that raises the cost by rounding alone is taken.
+        flat = projected @ projected <= _LM_TOLERANCE * cost
+        step = -vt.T @ (s * projected / (s * s + damping))
+        trial = params + step / scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial_residuals = lorentzian_profile(wavelengths, *trial) - values
+            trial_cost = float(trial_residuals @ trial_residuals)
+        short = np.linalg.norm(step) <= _LM_TOLERANCE * np.linalg.norm(params * scale)
+        taken = trial_cost < cost * (1.0 + _LM_TOLERANCE) if flat else trial_cost < cost
+        damping *= 0.1 if taken else 10.0
+        if taken or short:
+            params, residuals, cost = trial, trial_residuals, trial_cost
+            if short:
+                return params, residuals
+    raise FitConvergenceError(f"Lorentzian fit did not converge in {_LM_MAX_STEPS} steps")
+
+
 def _initial_lorentzian_guess(
     wavelengths: np.ndarray, values: np.ndarray
 ) -> tuple[float, float, float, float]:
@@ -278,31 +313,14 @@ def fit_lorentzian(
             f"at least {_MIN_POINTS_ACROSS_FWHM} are required"
         )
 
-    center0, fwhm0, amplitude0, baseline0 = _initial_lorentzian_guess(wavelengths, values)
-    _check_single_resonance(wavelengths, values, center0, fwhm0, amplitude0, baseline0)
+    # An exact power-of-two unit for the values keeps squared residuals in range.
+    value_exp = math.frexp(float(np.max(np.abs(values))))[1] - 1
+    values = np.ldexp(values, -value_exp)
+    guess = _initial_lorentzian_guess(wavelengths, values)
+    _check_single_resonance(wavelengths, values, *guess)
 
-    # Imported here, not at module top: scipy.optimize costs about 0.2 s
-    # to import, and only this fit uses it.
-    from scipy.optimize import least_squares
-
-    def residuals(params: np.ndarray) -> np.ndarray:
-        return lorentzian_profile(wavelengths, *params) - values
-
-    result = least_squares(
-        residuals,
-        x0=np.array([center0, fwhm0, amplitude0, baseline0]),
-        jac=lambda p: _lorentzian_jacobian(p, wavelengths),
-        method="trf",
-        xtol=1e-13,
-        ftol=1e-13,
-        gtol=1e-13,
-        max_nfev=10_000,
-    )
-    if not result.success:
-        raise FitConvergenceError(
-            f"Lorentzian fit did not converge within the iteration budget: {result.message}"
-        )
-    center, fwhm, amplitude, baseline = result.x
+    params, residuals = _levenberg_marquardt(wavelengths, values, np.array(guess))
+    center, fwhm, amplitude, baseline = params
     fwhm = abs(float(fwhm))
     if fwhm == 0.0:
         raise FitConvergenceError("Lorentzian fit collapsed to zero width")
@@ -313,7 +331,7 @@ def fit_lorentzian(
             f"({fwhm:.4g} nm); at least {_MIN_POINTS_ACROSS_FWHM} are required"
         )
     covariance = _covariance_from_jacobian(
-        _lorentzian_jacobian(result.x, wavelengths), result.fun
+        _lorentzian_jacobian(params, wavelengths), residuals
     )
     sigmas = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
 
@@ -328,14 +346,14 @@ def fit_lorentzian(
     parameters = {
         "center_nm": FitParameter(float(center), float(sigmas[0])),
         "fwhm_nm": FitParameter(fwhm, float(sigmas[1])),
-        "amplitude": FitParameter(float(amplitude), float(sigmas[2])),
-        "baseline": FitParameter(float(baseline), float(sigmas[3])),
+        "amplitude": FitParameter(_unscaled(amplitude, value_exp), _unscaled(sigmas[2], value_exp)),
+        "baseline": FitParameter(_unscaled(baseline, value_exp), _unscaled(sigmas[3], value_exp)),
         "quality_factor": FitParameter(float(quality), q_sigma),
-        level_name: FitParameter(level, level_sigma),
+        level_name: FitParameter(_unscaled(level, value_exp), _unscaled(level_sigma, value_exp)),
     }
     return FitReport(
         parameters=parameters,
-        residual_rms=float(np.sqrt(np.mean(np.square(result.fun)))),
+        residual_rms=_unscaled(np.sqrt(np.mean(np.square(residuals))), value_exp),
         points_used=int(wavelengths.size),
         points_excluded=int(spectrum.size - wavelengths.size),
         model="lorentzian",

@@ -257,9 +257,7 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
     ]
     for out in (tmp_path / "first", tmp_path / "second"):
         for command in commands:
-            code = main(
-                command + ["--config", str(config_path), "--out", str(out), "--seed", "0"]
-            )
+            code = main(command + ["--config", str(config_path), "--out", str(out)])
             assert code == 0, command
         code = main(
             [

@@ -35,7 +35,6 @@ class TestDefaultConfig:
         assert config.spectrum_resolution_pm == 50.0
         assert config.jsd_resolution_pm == 67.0
         assert config.output_dir == "runs"
-        assert config.seed == 0
 
     def test_source_text_is_preserved_verbatim(self):
         text = default_config_text()
@@ -88,10 +87,8 @@ class TestStrictness:
     def test_type_errors_are_named(self):
         with pytest.raises(ConfigError, match="ring.radius_um"):
             parse_config(default_with({"radius_um: 10.0": "radius_um: wide"}))
-        with pytest.raises(ConfigError, match="seed"):
-            parse_config(default_with({"seed: 0": "seed: 1.5"}))
-        with pytest.raises(ConfigError, match="seed"):
-            parse_config(default_with({"seed: 0": "seed: -3"}))
+        with pytest.raises(ConfigError, match="loss_budget.ring_index.*integer"):
+            parse_config(default_with({"ring_index: 4": "ring_index: 1.5"}))
 
 
 class TestAlternativeForms:

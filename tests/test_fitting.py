@@ -12,8 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopfwm import fitting
+from loopfwm.cli import main
 from loopfwm.config import default_config_text, parse_config
+from loopfwm.csvio import read_table
 from loopfwm.fitting import (
+    FitConvergenceError,
     FitParameter,
     FitReport,
     Spectrum,
@@ -36,6 +40,29 @@ CONFIG = parse_config(default_config_text())
 def synthetic_lorentzian(window_half_nm, step_nm, fwhm_nm, amplitude, baseline):
     grid = centered_grid(CENTER_NM, 2.0 * window_half_nm, step_nm)
     return grid, lorentzian_profile(grid, CENTER_NM, fwhm_nm, amplitude, baseline)
+
+
+def lorentzian_jacobian(grid, center, fwhm, amplitude, baseline):
+    """Derivatives of the profile in center, FWHM, amplitude and baseline."""
+    u = 2.0 * (grid - center) / fwhm
+    shape = 1.0 / (1.0 + u * u)
+    return np.column_stack(
+        [
+            amplitude * shape**2 * 4.0 * u / fwhm,
+            amplitude * shape**2 * 2.0 * u * u / fwhm,
+            shape,
+            np.ones_like(grid),
+        ]
+    )
+
+
+@pytest.fixture(scope="module")
+def default_drop(tmp_path_factory):
+    """The default ``ring-spectrum`` drop port, as ``fit`` reads it."""
+    out = tmp_path_factory.mktemp("ring")
+    assert main(["ring-spectrum", "--out", str(out)]) == 0
+    _, data, _ = read_table(out / "drop.csv")
+    return out / "drop.csv", data[:, 0], data[:, 1]
 
 
 class TestSpectrumType:
@@ -192,6 +219,55 @@ class TestLorentzianFit:
         report = fit_lorentzian(spectrum, (CENTER_NM - 2.0, CENTER_NM + 2.0))
         assert report.points_used + report.points_excluded == spectrum.size
         assert report.points_excluded > 0
+
+    def test_matches_least_squares(self, default_drop):
+        """Same optimum as scipy's trust-region least squares at 1e-13
+        tolerances, on the default drop port and criterion 8's 200 noisy dips
+        (scipy starts from the true line, or the ring's target Q for the drop
+        port): each parameter within 1e-5 of its sigma, a cost no larger, and
+        a column-scaled gradient at zero to 1e-8."""
+        from scipy.optimize import least_squares
+
+        _, grid, values = default_drop
+        start = (CENTER_NM, CENTER_NM / Q_TARGET, np.ptp(values), np.min(values))
+        cases = [(grid, values, start)]
+        fwhm, amplitude = CENTER_NM / Q_TARGET, 0.6382200814494171
+        grid, clean = synthetic_lorentzian(3.0, 0.05, fwhm, amplitude, 0.2)
+        for seed in range(200):
+            noise = np.random.default_rng(seed).normal(0.0, 0.01 * amplitude, size=grid.size)
+            cases.append((grid, clean + noise, (CENTER_NM, fwhm, amplitude, 0.2)))
+        names = ("center_nm", "fwhm_nm", "amplitude", "baseline")
+        for grid, values, start in cases:
+            report = fit_lorentzian(Spectrum(grid, values, "drop"), (grid[0], grid[-1]))
+            ours = np.array([report.value(name) for name in names])
+            sigmas = np.array([report.sigma(name) for name in names])
+            reference = least_squares(
+                lambda p: lorentzian_profile(grid, *p) - values,
+                start,
+                jac=lambda p: lorentzian_jacobian(grid, *p),
+                method="trf",
+                xtol=1e-13,
+                ftol=1e-13,
+                gtol=1e-13,
+                max_nfev=10_000,
+            )
+            assert reference.success
+            reference.x[1] = abs(reference.x[1])
+            assert np.all(np.abs(ours - reference.x) <= 1e-5 * sigmas)
+            residuals = lorentzian_profile(grid, *ours) - values
+            assert residuals @ residuals <= (reference.fun @ reference.fun) * (1.0 + 1e-12)
+            jac = lorentzian_jacobian(grid, *ours)
+            gradient = np.abs(jac.T @ residuals) / (
+                np.linalg.norm(jac, axis=0) * np.linalg.norm(residuals)
+            )
+            assert np.max(gradient) <= 1e-8
+
+    def test_exhausted_budget_raises(self, default_drop, monkeypatch, tmp_path):
+        path, grid, values = default_drop
+        monkeypatch.setattr(fitting, "_LM_MAX_STEPS", 1)
+        with pytest.raises(FitConvergenceError, match="did not converge"):
+            fit_lorentzian(Spectrum(grid, values, "drop"), (grid[0], grid[-1]))
+        assert main(["fit", str(path), "--model", "lorentzian", "--out", str(tmp_path)]) == 3
 
 
 def exact_line(xs, ys, weights) -> tuple[Fraction, Fraction]:
