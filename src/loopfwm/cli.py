@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, default_config_text, load_config, parse_config
-from .csvio import CsvParseError, format_float, read_table, write_table
+from .csvio import CsvParseError, format_float, read_table, write_grid, write_table
 from .fitting import (
     FitConvergenceError,
     FitReport,
@@ -381,14 +381,12 @@ def _cmd_jsd(args: argparse.Namespace) -> int:
 
     directory = _out_dir(args, config)
     grid = config.jsd_grid
-    write_table(
+    write_grid(
         directory / "jsd_scan.csv",
         ("signal_nm", "idler_nm", "intensity"),
-        (
-            np.repeat(signal_axis, idler_axis.size),
-            np.tile(idler_axis, signal_axis.size),
-            matrix.ravel(),
-        ),
+        signal_axis,
+        idler_axis,
+        matrix,
         comments=(
             f"signal axis: {format_float(signal_axis[0])} to "
             f"{format_float(signal_axis[-1])} nm, step {format_float(grid.signal.step_pm)} pm",

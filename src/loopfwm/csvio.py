@@ -5,7 +5,8 @@ line endings, and UTF-8.  Floats are written with 12 significant
 digits, so identical arrays always serialize to identical bytes —
 the property golden-file regression tests rely on.  Lines starting
 with ``#`` are comments; writers place them before the header, and
-summary lines may be appended after the data.
+summary lines may be appended after the data.  :func:`write_table` writes
+named columns, :func:`write_grid` a matrix over two axes in long form.
 """
 
 from __future__ import annotations
@@ -58,6 +59,30 @@ def write_table(
             handle.write(row_format % row)
         for comment in trailer_comments:
             handle.write(f"# {comment}\n")
+
+
+def write_grid(
+    path: str | Path,
+    header: tuple[str, ...],
+    row_axis: np.ndarray,
+    column_axis: np.ndarray,
+    matrix: np.ndarray,
+    comments: tuple[str, ...] = (),
+) -> None:
+    """Write ``matrix[i, j]`` as ``row_axis[i],column_axis[j],value`` lines: the
+    bytes of :func:`write_table` on the repeated row axis, the tiled column axis
+    and the raveled matrix, written one row at a time."""
+    shape = (row_axis.size, column_axis.size)
+    if len(header) != 3 or row_axis.ndim != 1 or column_axis.ndim != 1 or matrix.shape != shape:
+        raise ValueError("write_grid takes 3 header names, 1-D axes and a matrix shaped by them")
+    # Each column value is formatted once; a row joins them with its own value
+    # into one template for its cells.  A %.12g text never holds a "%".
+    pieces = [""] + [f",{format_float(value)},{_FLOAT_FORMAT}\n" for value in column_axis.tolist()]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(f"# {comment}\n" for comment in comments)
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        for value, cells in zip(row_axis.tolist(), matrix):
+            handle.write(format_float(value).join(pieces) % tuple(cells.tolist()))
 
 
 def read_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:

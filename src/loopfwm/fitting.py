@@ -174,8 +174,8 @@ def _covariance_from_jacobian(jacobian: np.ndarray, residuals: np.ndarray) -> np
     """Linearized covariance at the optimum, scaled by reduced chi-square."""
     _, singulars, vt = np.linalg.svd(jacobian, full_matrices=False)
     cutoff = np.finfo(float).eps * max(jacobian.shape) * singulars[0]
-    inv_sq = np.where(singulars > cutoff, 1.0 / np.square(singulars), 0.0)
-    unit_cov = (vt.T * inv_sq) @ vt
+    kept = singulars > cutoff
+    unit_cov = (vt[kept].T * (1.0 / np.square(singulars[kept]))) @ vt[kept]
     dof = residuals.size - jacobian.shape[1]
     scale = float(residuals @ residuals) / dof if dof > 0 else 0.0
     return unit_cov * scale
@@ -296,8 +296,8 @@ def fit_lorentzian(
     Raises
     ------
     ValueError
-        If the window is empty, holds several resonances, or samples
-        the line too coarsely.
+        If the window is empty, holds no feature or several resonances,
+        or samples the line too coarsely.
     FitConvergenceError
         If the optimizer exhausts its iteration budget.
     """
@@ -312,6 +312,8 @@ def fit_lorentzian(
             f"window holds {wavelengths.size} samples; "
             f"at least {_MIN_POINTS_ACROSS_FWHM} are required"
         )
+    if np.all(values == values[0]):
+        raise ValueError("fit window holds no feature: every value equals the baseline")
 
     # An exact power-of-two unit for the values keeps squared residuals in range.
     value_exp = math.frexp(float(np.max(np.abs(values))))[1] - 1

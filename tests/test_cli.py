@@ -23,8 +23,10 @@ from hypothesis import strategies as st
 
 import loopfwm
 from loopfwm.cli import main
-from loopfwm.config import default_config_text
-from loopfwm.csvio import read_table
+from loopfwm.config import default_config_text, parse_config
+from loopfwm.csvio import read_table, write_table
+from loopfwm.jsd import simulate_jsd_scan
+from loopfwm.ring import linewidth_ghz
 
 
 def config_dict() -> dict:
@@ -38,6 +40,13 @@ def config_dict() -> dict:
         idler_stop_nm=1550.5,
         idler_step_pm=20.0,
     )
+    return config
+
+
+def fuzz_base_config() -> dict:
+    """The packaged default config with 100 pm JSD steps, a 61 x 61 grid."""
+    config = yaml.safe_load(default_config_text())
+    config["jsd"].update(signal_step_pm=100.0, idler_step_pm=100.0)
     return config
 
 
@@ -249,6 +258,39 @@ class TestJsd:
         assert any("signal axis" in comment for comment in comments)
         assert np.all(data[:, 2] >= 0.0)
 
+    def test_scan_csv_is_the_long_form_table(self, tmp_path):
+        # The grid writer must write what write_table writes for the repeated
+        # signal axis, the tiled idler axis and the raveled scan.
+        config_path = tmp_path / "fuzz_base.yaml"
+        config_path.write_text(yaml.safe_dump(fuzz_base_config(), sort_keys=False),
+                               encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["jsd", "--config", str(config_path), "--out", str(out)]) == 0
+        config = parse_config(config_path.read_text(encoding="utf-8"))
+        triplet = config.triplet
+        matrix = simulate_jsd_scan(
+            config.jsd_grid,
+            triplet,
+            pump_linewidth_ghz=config.pump_linewidth_ghz,
+            signal_linewidth_ghz=linewidth_ghz(triplet.signal_nm, config.geometry,
+                                               config.coupling),
+            idler_linewidth_ghz=linewidth_ghz(triplet.idler_nm, config.geometry,
+                                              config.coupling),
+            resolution_fwhm_pm=config.jsd_resolution_pm,
+        )
+        signal = config.jsd_grid.signal.wavelengths_nm()
+        idler = config.jsd_grid.idler.wavelengths_nm()
+        assert matrix.shape == (61, 61)
+        _, _, comments = read_table(out / "jsd_scan.csv")
+        expected = tmp_path / "expected.csv"
+        write_table(
+            expected,
+            ("signal_nm", "idler_nm", "intensity"),
+            (np.repeat(signal, idler.size), np.tile(idler, signal.size), matrix.ravel()),
+            comments=comments,
+        )
+        assert (out / "jsd_scan.csv").read_bytes() == expected.read_bytes()
+
 
 class TestFit:
     def test_lorentzian_on_generated_drop_spectrum(self, tmp_path):
@@ -313,6 +355,20 @@ class TestFit:
         code = main(["fit", str(spectrum), "--model", "lorentzian", "--out", str(tmp_path)])
         assert code == 3
         assert "fit failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port, value", [("idler", 0.5), ("drop", 0.1)])
+    def test_featureless_spectrum_exit_code(self, tmp_path, capsys, port, value):
+        # A window of one constant value holds no line to fit; its Jacobian's
+        # zero singular value once made the covariance divide by zero.
+        flat = tmp_path / "flat.csv"
+        flat.write_text(
+            f"wavelength_nm,{port}\n"
+            + "".join(f"{1555.0 + 0.01 * i!r},{value!r}\n" for i in range(169)),
+            encoding="utf-8",
+        )
+        code = main(["fit", str(flat), "--model", "lorentzian", "--out", str(tmp_path)])
+        assert code == 3
+        assert "no feature" in capsys.readouterr().err
 
     def test_bad_config_file_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -582,8 +638,7 @@ class TestConfigFuzz:
     @example(command="jsd", key=("fwm", "signal_nm"), value=1e300)
     @example(command="fwm-sweep", key=("fwm", "gamma_per_w_m"), value=1e300)
     def test_one_key_at_an_edge(self, fit_inputs, command, key, value):
-        config = yaml.safe_load(default_config_text())
-        config["jsd"].update(signal_step_pm=100.0, idler_step_pm=100.0)
+        config = fuzz_base_config()
         node = config
         for part in key[:-1]:
             node = node[part]

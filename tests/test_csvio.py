@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopfwm.csvio import (
     CsvParseError,
     format_float,
     read_table,
+    write_grid,
     write_table,
 )
 
@@ -156,3 +159,71 @@ class TestRowFormatting:
         path = tmp_path / "random.csv"
         write_table(path, ("x", "y"), columns, trailer_comments=("done",))
         assert path.read_bytes() == per_cell_text(("x", "y"), columns, ("done",))
+
+
+def drawn_axis(size: int) -> st.SearchStrategy[np.ndarray]:
+    """Axis values from the edge set or of random sign and magnitude."""
+    value = st.one_of(
+        st.sampled_from(TestRowFormatting.EDGE_VALUES.tolist()),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+    )
+    return st.lists(value, min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def grids(draw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drawn axes and a seeded random matrix of their shape, a tenth of its
+    cells edge values; a drawn list of 1,600 cells would overrun hypothesis."""
+    shape = draw(st.sampled_from([(1, 1), (1, 7), (7, 1), (0, 3), (3, 0), (40, 40)])
+                 | st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    rows, columns = draw(drawn_axis(shape[0])), draw(drawn_axis(shape[1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    edges = rng.random(shape) < 0.1
+    matrix[edges] = rng.choice(TestRowFormatting.EDGE_VALUES, np.count_nonzero(edges))
+    return rows, columns, matrix
+
+
+class TestGridWriter:
+    """``write_grid`` writes the long-form bytes of ``write_table``."""
+
+    HEADER = ("signal_nm", "idler_nm", "intensity")
+
+    @settings(deadline=None, max_examples=150)
+    @given(grid=grids(), comments=st.sampled_from([(), ("axis: 1 to 2 nm", "pump: 3 GHz")]))
+    def test_matches_long_form_write_table(self, tmp_path_factory, grid, comments):
+        rows, columns, matrix = grid
+        scratch = tmp_path_factory.mktemp("grid")
+        write_grid(scratch / "grid.csv", self.HEADER, rows, columns, matrix, comments)
+        write_table(
+            scratch / "table.csv",
+            self.HEADER,
+            (np.repeat(rows, columns.size), np.tile(columns, rows.size), matrix.ravel()),
+            comments,
+        )
+        assert (scratch / "grid.csv").read_bytes() == (scratch / "table.csv").read_bytes()
+
+    def test_edge_axes(self, tmp_path):
+        edges = TestRowFormatting.EDGE_VALUES
+        matrix = np.array([np.roll(edges, shift) for shift in range(edges.size)])
+        write_grid(tmp_path / "grid.csv", self.HEADER, edges, -edges, matrix)
+        columns = (np.repeat(edges, edges.size), np.tile(-edges, edges.size), matrix.ravel())
+        assert (tmp_path / "grid.csv").read_bytes() == per_cell_text(self.HEADER, columns)
+
+    @pytest.mark.parametrize(
+        "header, rows, columns, matrix",
+        [
+            (("x", "y"), np.ones(2), np.ones(3), np.ones((2, 3))),
+            (("x", "y", "z", "w"), np.ones(2), np.ones(3), np.ones((2, 3))),
+            (HEADER, np.ones((2, 1)), np.ones(3), np.ones((2, 3))),
+            (HEADER, np.ones(2), np.ones((1, 3)), np.ones((2, 3))),
+            (HEADER, np.ones(2), np.ones(3), np.ones((3, 2))),
+            (HEADER, np.ones(2), np.ones(3), np.ones(6)),
+        ],
+        ids=["two_names", "four_names", "2d_rows", "2d_columns", "transposed", "raveled"],
+    )
+    def test_rejects_mismatched_shapes(self, tmp_path, header, rows, columns, matrix):
+        with pytest.raises(ValueError, match="3 header names, 1-D axes"):
+            write_grid(tmp_path / "grid.csv", header, rows, columns, matrix)
+        assert not (tmp_path / "grid.csv").exists()

@@ -262,6 +262,20 @@ class TestLorentzianFit:
             )
             assert np.max(gradient) <= 1e-8
 
+    def test_rejects_featureless_window(self):
+        grid = CENTER_NM + 0.01 * np.arange(-84, 85)
+        with pytest.raises(ValueError, match="no feature"):
+            fit_lorentzian(Spectrum(grid, np.full(grid.size, 0.5), "idler"), (grid[0], grid[-1]))
+
+    def test_covariance_skips_zero_singular_values(self):
+        # A parameter the model does not depend on has variance 0, computed
+        # without dividing by its zero singular value.
+        jacobian = np.column_stack([np.arange(6.0), np.ones(6), np.zeros(6)])
+        covariance = fitting._covariance_from_jacobian(jacobian, np.full(6, 0.1))
+        assert np.all(np.isfinite(covariance))
+        assert covariance[2, 2] == 0.0
+        assert covariance[0, 0] > 0.0
+
     def test_exhausted_budget_raises(self, default_drop, monkeypatch, tmp_path):
         path, grid, values = default_drop
         monkeypatch.setattr(fitting, "_LM_MAX_STEPS", 1)
