@@ -16,9 +16,10 @@ Subcommands
 
 Every run validates its configuration up front, writes deterministic
 CSV/text outputs into the output directory, and records a manifest with
-the configuration hash.  Exit codes: 0 success, 2 configuration or
-parameter error, 3 a fit failed to converge or found its data unusable,
-4 I/O error.
+the configuration hash.  A subcommand only computes; :func:`main` writes
+only after the subcommand has computed every output, so a failed run
+writes no file.  Exit codes: 0 success, 2 configuration or parameter
+error, 3 a fit failed to converge or found its data unusable, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -51,14 +53,46 @@ from .laser import output_power_curve, steady_state_roundtrip
 from .ring import drop_spectrum, linewidth_ghz, through_spectrum
 
 
+# A function that writes one output file to the path it is given.
+Writer = Callable[[Path], None]
+# What a subcommand computes: a writer per output file name, and the summary to print.
+Outputs = dict[str, Writer]
+Run = tuple[Outputs, str]
+
+
+class UnusableDataError(Exception):
+    """``fit`` read data that its model cannot fit (exit 3)."""
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.handler(args)
+        config, origin = _load(args)
+        directory = Path(args.out) if args.out is not None else Path(config.output_dir)
+        outputs, summary = args.handler(args, config, directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, write in outputs.items():
+            write(directory / name)
+        manifest = {
+            "command": args.command,
+            "config_input": origin,
+            "config_sha256": hashlib.sha256(config.source_text.encode("utf-8")).hexdigest(),
+            "outputs": sorted(outputs),
+            "version": __version__,
+            "wall_clock_seconds": round(time.monotonic() - started, 6),
+        }
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        (directory / "manifest.json").write_text(text, encoding="utf-8")
+        print(summary)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except UnusableDataError as exc:
+        print(f"fit failed: {exc}", file=sys.stderr)
+        return 3
     except FitConvergenceError as exc:
         print(f"numeric non-convergence: {exc}", file=sys.stderr)
         return 3
@@ -175,32 +209,6 @@ def _load(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
     return load_config(args.config), str(args.config)
 
 
-def _out_dir(args: argparse.Namespace, config: ExperimentConfig) -> Path:
-    directory = Path(args.out) if args.out is not None else Path(config.output_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
-def _write_manifest(
-    directory: Path,
-    config: ExperimentConfig,
-    origin: str,
-    args: argparse.Namespace,
-    outputs: list[str],
-    started: float,
-) -> None:
-    manifest = {
-        "command": args.command,
-        "config_input": origin,
-        "config_sha256": hashlib.sha256(config.source_text.encode("utf-8")).hexdigest(),
-        "outputs": sorted(outputs),
-        "version": __version__,
-        "wall_clock_seconds": round(time.monotonic() - started, 6),
-    }
-    path = directory / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _report_lines(report: FitReport) -> list[str]:
     lines = [
         f"model: {report.model}",
@@ -215,28 +223,31 @@ def _report_lines(report: FitReport) -> list[str]:
     return lines
 
 
-def _write_report(directory: Path, stem: str, report: FitReport) -> list[str]:
-    """Write a fit report as text and as a one-row CSV; return file names."""
-    text_name = f"{stem}.txt"
-    csv_name = f"{stem}.csv"
-    (directory / text_name).write_text(
-        "\n".join(_report_lines(report)) + "\n", encoding="utf-8"
-    )
+def _text(lines: list[str]) -> Writer:
+    """A writer of ``lines`` as a text file."""
+    return lambda path: path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _table(header: tuple[str, ...], columns: tuple[np.ndarray, ...], **options) -> Writer:
+    """A writer of ``columns`` as a CSV table (see :func:`write_table`)."""
+    return lambda path: write_table(path, header, columns, **options)
+
+
+def _report_outputs(stem: str, report: FitReport) -> Outputs:
+    """Writers of a fit report as text and as a one-row CSV."""
     header = ["model", "points_used", "points_excluded", "residual_rms"]
     row = [report.model, str(report.points_used), str(report.points_excluded),
            format_float(report.residual_rms)]
     for name, parameter in report.parameters.items():
         header.extend([name, f"{name}_sigma"])
         row.extend([format_float(parameter.value), format_float(parameter.sigma)])
-    (directory / csv_name).write_text(
-        ",".join(header) + "\n" + ",".join(row) + "\n", encoding="utf-8"
-    )
-    return [text_name, csv_name]
+    return {
+        f"{stem}.txt": _text(_report_lines(report)),
+        f"{stem}.csv": _text([",".join(header), ",".join(row)]),
+    }
 
 
-def _cmd_ring_spectrum(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    config, origin = _load(args)
+def _cmd_ring_spectrum(args: argparse.Namespace, config: ExperimentConfig, directory: Path) -> Run:
     resonance = config.resonance_nm
     start = args.start_nm if args.start_nm is not None else resonance - 3.0
     stop = args.stop_nm if args.stop_nm is not None else resonance + 3.0
@@ -254,20 +265,17 @@ def _cmd_ring_spectrum(args: argparse.Namespace) -> int:
     through = through_spectrum(wavelengths, resonance, config.geometry, config.coupling)
     drop = drop_spectrum(wavelengths, resonance, config.geometry, config.coupling)
 
-    directory = _out_dir(args, config)
-    write_table(directory / "through.csv", ("wavelength_nm", "through"), (wavelengths, through))
-    write_table(directory / "drop.csv", ("wavelength_nm", "drop"), (wavelengths, drop))
-    _write_manifest(directory, config, origin, args, ["through.csv", "drop.csv"], started)
-    print(
+    outputs = {
+        "through.csv": _table(("wavelength_nm", "through"), (wavelengths, through)),
+        "drop.csv": _table(("wavelength_nm", "drop"), (wavelengths, drop)),
+    }
+    return outputs, (
         f"wrote {wavelengths.size}-point spectra to {directory} "
         f"(on-resonance through {format_float(float(through.min()))})"
     )
-    return 0
 
 
-def _cmd_laser_curve(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    config, origin = _load(args)
+def _cmd_laser_curve(args: argparse.Namespace, config: ExperimentConfig, directory: Path) -> Run:
     if not args.stop_ma > args.start_ma:
         raise ConfigError(
             f"current range must satisfy start < stop, got [{args.start_ma}, {args.stop_ma}]"
@@ -288,26 +296,21 @@ def _cmd_laser_curve(args: argparse.Namespace) -> int:
         drop = np.array([point.drop_port_power_mw for point in points])
         tap = np.array([point.tap_power_mw for point in points])
 
-    directory = _out_dir(args, config)
-    write_table(
-        directory / "laser_curve.csv",
-        ("current_mA", "drop_power_mw", "tap_power_uw"),
-        (currents, drop, tap * 1e3),
-    )
     report = fit_lasing_curve(currents, drop, exclusion_cutoff_ma=args.cutoff_ma)
-    outputs = ["laser_curve.csv"] + _write_report(directory, "laser_fit", report)
-    _write_manifest(directory, config, origin, args, outputs, started)
-    print(
+    outputs = {
+        "laser_curve.csv": _table(
+            ("current_mA", "drop_power_mw", "tap_power_uw"), (currents, drop, tap * 1e3)
+        ),
+        **_report_outputs("laser_fit", report),
+    }
+    return outputs, (
         f"threshold {format_float(report.value('threshold_ma'))} mA, "
         f"slope {format_float(report.value('slope_mw_per_ma'))} mW/mA "
         f"({report.points_used} points used)"
     )
-    return 0
 
 
-def _cmd_fwm_sweep(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    config, origin = _load(args)
+def _cmd_fwm_sweep(args: argparse.Namespace, config: ExperimentConfig, directory: Path) -> Run:
     if args.points < 2:
         raise ConfigError(f"a sweep needs at least 2 points, got {args.points}")
     if not (0.0 < args.start_mw < args.stop_mw < math.inf):
@@ -337,39 +340,35 @@ def _cmd_fwm_sweep(args: argparse.Namespace) -> int:
     log_values = np.log10(values)
     slope, _, _ = weighted_line(log_values, np.log10(idler), np.ones_like(log_values))
 
-    directory = _out_dir(args, config)
-    write_table(
-        directory / "fwm_sweep.csv",
-        (f"{args.axis}_power_mw", "idler_power_mw"),
-        (values, idler),
-        trailer_comments=(f"loglog_slope = {format_float(slope)}",),
-    )
-    _write_manifest(directory, config, origin, args, ["fwm_sweep.csv"], started)
-    print(f"{args.axis} sweep log-log slope {format_float(slope)}")
-    return 0
+    outputs = {
+        "fwm_sweep.csv": _table(
+            (f"{args.axis}_power_mw", "idler_power_mw"),
+            (values, idler),
+            trailer_comments=(f"loglog_slope = {format_float(slope)}",),
+        )
+    }
+    return outputs, f"{args.axis} sweep log-log slope {format_float(slope)}"
 
 
-def _cmd_jsd(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    config, origin = _load(args)
-    triplet = config.triplet
+def _cmd_jsd(args: argparse.Namespace, config: ExperimentConfig, directory: Path) -> Run:
+    grid, triplet = config.jsd_grid, config.triplet
     signal_linewidth = linewidth_ghz(triplet.signal_nm, config.geometry, config.coupling)
     idler_linewidth = linewidth_ghz(triplet.idler_nm, config.geometry, config.coupling)
 
     matrix = simulate_jsd_scan(
-        config.jsd_grid,
+        grid,
         triplet,
         pump_linewidth_ghz=config.pump_linewidth_ghz,
         signal_linewidth_ghz=signal_linewidth,
         idler_linewidth_ghz=idler_linewidth,
         resolution_fwhm_pm=config.jsd_resolution_pm,
     )
-    signal_axis = config.jsd_grid.signal.wavelengths_nm()
-    idler_axis = config.jsd_grid.idler.wavelengths_nm()
+    signal_axis = grid.signal.wavelengths_nm()
+    idler_axis = grid.idler.wavelengths_nm()
     ridge = ridge_fit(matrix, signal_axis, idler_axis)
 
     joint = jsa(
-        config.jsd_grid,
+        grid,
         config.pump_linewidth_ghz,
         signal_linewidth,
         idler_linewidth,
@@ -379,22 +378,13 @@ def _cmd_jsd(args: argparse.Namespace) -> int:
     )
     decomposition = schmidt(joint)
 
-    directory = _out_dir(args, config)
-    grid = config.jsd_grid
-    write_grid(
-        directory / "jsd_scan.csv",
-        ("signal_nm", "idler_nm", "intensity"),
-        signal_axis,
-        idler_axis,
-        matrix,
-        comments=(
-            f"signal axis: {format_float(signal_axis[0])} to "
-            f"{format_float(signal_axis[-1])} nm, step {format_float(grid.signal.step_pm)} pm",
-            f"idler axis: {format_float(idler_axis[0])} to "
-            f"{format_float(idler_axis[-1])} nm, step {format_float(grid.idler.step_pm)} pm",
-            f"pump linewidth: {format_float(config.pump_linewidth_ghz)} GHz",
-            f"idler resolution: {format_float(config.jsd_resolution_pm)} pm",
-        ),
+    comments = (
+        f"signal axis: {format_float(signal_axis[0])} to "
+        f"{format_float(signal_axis[-1])} nm, step {format_float(grid.signal.step_pm)} pm",
+        f"idler axis: {format_float(idler_axis[0])} to "
+        f"{format_float(idler_axis[-1])} nm, step {format_float(grid.idler.step_pm)} pm",
+        f"pump linewidth: {format_float(config.pump_linewidth_ghz)} GHz",
+        f"idler resolution: {format_float(config.jsd_resolution_pm)} pm",
     )
     leading = ", ".join(format_float(c) for c in decomposition.coefficients[:8])
     report_lines = [
@@ -405,21 +395,21 @@ def _cmd_jsd(args: argparse.Namespace) -> int:
         f"schmidt_number: {format_float(decomposition.schmidt_number)}",
         f"leading_coefficients: {leading}",
     ]
-    (directory / "jsd_report.txt").write_text("\n".join(report_lines) + "\n", encoding="utf-8")
-    _write_manifest(
-        directory, config, origin, args, ["jsd_scan.csv", "jsd_report.txt"], started
-    )
-    print(
+    outputs = {
+        "jsd_scan.csv": lambda path: write_grid(
+            path, ("signal_nm", "idler_nm", "intensity"), signal_axis, idler_axis, matrix,
+            comments=comments,
+        ),
+        "jsd_report.txt": _text(report_lines),
+    }
+    return outputs, (
         f"ridge slope {format_float(ridge.slope)}, "
         f"purity {format_float(decomposition.purity)}, "
         f"K {format_float(decomposition.schmidt_number)}"
     )
-    return 0
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    config, origin = _load(args)
+def _cmd_fit(args: argparse.Namespace, config: ExperimentConfig, directory: Path) -> Run:
     header, data, _ = read_table(args.input)
     if data.shape[0] == 0:
         raise CsvParseError("line 2: file has a header but no data rows")
@@ -447,12 +437,5 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         else:
             report = fit_lasing_curve(xs, ys, exclusion_cutoff_ma=args.cutoff_ma)
     except ValueError as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
-        return 3
-
-    directory = _out_dir(args, config)
-    outputs = _write_report(directory, "fit_report", report)
-    _write_manifest(directory, config, origin, args, outputs, started)
-    for line in _report_lines(report):
-        print(line)
-    return 0
+        raise UnusableDataError(exc) from exc
+    return _report_outputs("fit_report", report), "\n".join(_report_lines(report))

@@ -16,7 +16,7 @@ was loaded.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -143,6 +143,9 @@ def _pop_value(mapping: dict, key: str, context: str, kind: type):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"'{_qualify(context, key)}' must be a number, got {value!r}")
+        # No key takes nan or +-inf, nor an integer past float range.
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"'{_qualify(context, key)}' must be finite, got {value!r}")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -306,8 +309,6 @@ def _parse_instrument(section: dict) -> tuple[float, float]:
         raise ConfigError(
             f"'instrument.spectrum_resolution_pm' must be positive, got {spectrum_res}"
         )
-    if not 0.0 <= jsd_res < math.inf:
-        raise ConfigError(
-            f"'instrument.jsd_resolution_pm' must be finite and >= 0, got {jsd_res}"
-        )
+    if jsd_res < 0.0:
+        raise ConfigError(f"'instrument.jsd_resolution_pm' must be >= 0, got {jsd_res}")
     return spectrum_res, jsd_res

@@ -5,7 +5,9 @@ argument lists; subprocess tests confirm the module entry point and which
 modules a fresh process imports.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 import loopfwm
 from loopfwm.cli import main
-from loopfwm.config import default_config_text, parse_config
+from loopfwm.config import ConfigError, default_config_text, parse_config
 from loopfwm.csvio import read_table, write_table
 from loopfwm.jsd import simulate_jsd_scan
 from loopfwm.ring import linewidth_ghz
@@ -178,6 +180,18 @@ class TestLaserCurve:
         assert main(["laser-curve", "--out", str(tmp_path / "run"), bound]) == 2
         assert not (tmp_path / "run" / "laser_curve.csv").exists()
 
+    def test_failed_fit_writes_nothing(self, tmp_path, capsys):
+        # Nothing lases through a 1e300 dB ring, so the threshold fit fails;
+        # the curve of zeros computed before it must not be written either.
+        config = config_dict()
+        config["loss_budget"]["ring_insertion_db"] = 1e300
+        path = tmp_path / "dark.yaml"
+        path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["laser-curve", "--config", str(path), "--out", str(out)]) == 2
+        assert "all points are below threshold" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [[], ["--tpa", "0"]])
     def test_zero_loss_loop_rejected(self, tmp_path, capsys, extra):
         config = config_dict()
@@ -215,12 +229,14 @@ class TestFwmSweep:
             ("signal", "84cd024a7d79a9f382d8ddaa0c4bae14004a116ee0d935686308db07af2b5a62"),
         ],
     )
-    def test_default_sweep_bytes(self, tmp_path, axis, digest):
+    def test_default_sweep_bytes(self, tmp_path, capsys, axis, digest):
         # The SHA-256 of the default sweep, so a change to the conversion
         # formula's arithmetic shows as a changed file.
         out = tmp_path / "run"
         assert main(["fwm-sweep", "--axis", axis, "--out", str(out)]) == 0
         assert hashlib.sha256((out / "fwm_sweep.csv").read_bytes()).hexdigest() == digest
+        slope = {"pump": 2, "signal": 1}[axis]
+        assert capsys.readouterr().out == f"{axis} sweep log-log slope {slope}\n"
 
     def test_single_point_rejected(self, tmp_path):
         code = main(["fwm-sweep", "--out", str(tmp_path / "run"), "--points", "1"])
@@ -422,6 +438,116 @@ class TestDeterminism:
         assert hash_a != hash_b
 
 
+# Each default command but ``fwm-sweep`` (pinned in ``TestFwmSweep``): its
+# argv (``{root}`` is the directory holding every run's output directory),
+# its stdout (``{out}`` is its own output directory) and the SHA-256 of each
+# file it writes besides the manifest.
+DEFAULT_RUNS = {
+    "ring": (
+        ["ring-spectrum"],
+        "wrote 121-point spectra to {out} (on-resonance through 0.04)\n",
+        {
+            "through.csv": "a094362e1c82d2c81252bed74c6757a4761292283deebebbad585a08c953020a",
+            "drop.csv": "6e9515f36c5996f0979ba55f74ad28e285a223e18002bd5a35341e03fa84d507",
+        },
+    ),
+    "laser": (
+        ["laser-curve"],
+        "threshold 90 mA, slope 0.0261728280815 mW/mA (8 points used)\n",
+        {
+            "laser_curve.csv": "eff04aaec69190402d0f4651275d9bff3e3fcc11b913a61d07f4bf467435e453",
+            "laser_fit.csv": "81929046d30f0ccf2290ec4f200bf8be0ab750852b4d09b431a5295e022765ef",
+            "laser_fit.txt": "c82caf88a13054dd89bbea5bd79ae38e4a7182e047d84ae0c90547ccc768e2b8",
+        },
+    ),
+    "laser_tpa": (
+        ["laser-curve", "--tpa"],
+        "threshold 89.2079140408 mA, slope 0.0229356210034 mW/mA (8 points used)\n",
+        {
+            "laser_curve.csv": "b4850527cc687795576db24319051b3c3599f815735670d240c8aabd4048be63",
+            "laser_fit.csv": "1053103abc8d272c82face7523fe0152636c2da6181cd77c5a099407ae686e5b",
+            "laser_fit.txt": "b431c54b076a7b13cf6be6d80c157a0e8fda809d8fe0b489f12739e9a944889e",
+        },
+    ),
+    "fit_lorentzian": (
+        ["fit", "{root}/ring/drop.csv", "--model", "lorentzian"],
+        "model: lorentzian\n"
+        "points_used: 121\n"
+        "points_excluded: 0\n"
+        "residual_rms: 0.000262410980908\n"
+        "center_nm: 1555.87005064 +/- 5.62089754013e-05\n"
+        "fwhm_nm: 0.561925169982 +/- 0.000186157279995\n"
+        "amplitude: 0.634955631243 +/- 0.000127295003642\n"
+        "baseline: 0.00353483157154 +/- 3.29390988841e-05\n"
+        "quality_factor: 2768.8207145 +/- 0.917268283412\n"
+        "peak: 0.638490462814 +/- 0.000129576297605\n",
+        {
+            "fit_report.csv": "de0684483cf4f9a66ff4d2386517895a5cd116d220e92bf35e6584ee6896dd8f",
+            "fit_report.txt": "73b04de3406f5c621a41d9834b9e7f82b37029594263113cb6414d39e7018356",
+        },
+    ),
+    "fit_lasing": (
+        ["fit", "{root}/laser_tpa/laser_curve.csv", "--model", "lasing", "--cutoff-ma", "130"],
+        "model: lasing\n"
+        "points_used: 8\n"
+        "points_excluded: 11\n"
+        "residual_rms: 0.00545472035623\n"
+        "slope_mw_per_ma: 0.0229356210034 +/- 0.000194378044892\n"
+        "intercept_mw: -2.04603890694 +/- 0.0219806247909\n"
+        "threshold_ma: 89.2079140408 +/- 0.219984939659\n",
+        {
+            "fit_report.csv": "e853d6f7a07d6547f9adf5f57d451e08c7ac367b07ea4cb357422576bc9aaee4",
+            "fit_report.txt": "5b64d8f3148f49e68f759c04b9a5c4a42621d7b479c8d7ebfe5c39d8aefe314d",
+        },
+    ),
+    "jsd": (
+        ["jsd"],
+        "ridge slope -0.978542674058, purity 0.0456659162829, K 21.8981700445\n",
+        {
+            "jsd_scan.csv": "27a7a59b0ffc17efadc3b18962c49f30fdb4ecceb96344ddb36518db23808a72",
+            "jsd_report.txt": "5bd6c69e8e0e8270211b88353c77da521a41f1cc610abbc236c2a8cbe2e2f4cc",
+        },
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def default_runs(tmp_path_factory):
+    """Exit code, stdout and output directory of each run in ``DEFAULT_RUNS``."""
+    root = tmp_path_factory.mktemp("default_runs")
+    results = {}
+    for name, (argv, _, _) in DEFAULT_RUNS.items():
+        out = root / name
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([word.format(root=root) for word in argv] + ["--out", str(out)])
+        results[name] = code, stdout.getvalue(), out
+    return results
+
+
+class TestDefaultOutputs:
+    """Every byte a default command writes or prints, so that a change to
+    any output shows as a failed test rather than only in the benchmark."""
+
+    @pytest.mark.parametrize("name", DEFAULT_RUNS)
+    def test_stdout_and_manifest(self, default_runs, name):
+        code, stdout, out = default_runs[name]
+        _, expected_stdout, digests = DEFAULT_RUNS[name]
+        assert code == 0
+        assert stdout == expected_stdout.format(out=out)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["outputs"] == sorted(digests)
+        assert sorted(path.name for path in out.iterdir()) == sorted([*digests, "manifest.json"])
+
+    @pytest.mark.parametrize(
+        "name, file", [(name, file) for name, run in DEFAULT_RUNS.items() for file in run[2]]
+    )
+    def test_file_bytes(self, default_runs, name, file):
+        out = default_runs[name][2]
+        digest = hashlib.sha256((out / file).read_bytes()).hexdigest()
+        assert digest == DEFAULT_RUNS[name][2][file]
+
+
 # Edge values for every float flag; ``None`` leaves the flag at its default.
 FLOAT_EDGES = (None, "0", "-1", "nan", "inf", "-inf", "1e300", "1e-300")
 # Window bounds are passed as a separate pair of words, where argparse would
@@ -454,12 +580,13 @@ def fit_inputs(tmp_path_factory):
 
 
 def run_edge_case(argv: list[str], scratch: Path) -> None:
-    """``main`` returns a documented exit code and never raises, and a
-    successful run writes finite numbers."""
+    """``main`` returns a documented exit code and never raises, a failed
+    run leaves no file behind, and a successful run writes finite numbers."""
     out = scratch / "run"
     code = main(argv + ["--out", str(out)])
     assert code in (0, 2, 3, 4), argv
     if code != 0:
+        assert not out.exists(), (argv, sorted(path.name for path in out.iterdir()))
         return
     for path in sorted(out.iterdir()):
         if path.name == "manifest.json":
@@ -597,6 +724,21 @@ def numeric_keys(node, path=()):
         yield path
 
 
+def key_name(path: tuple) -> str:
+    """A key path as config errors spell it, e.g. ``loss_budget.elements[0].loss_db``."""
+    return "".join(f"[{part}]" if isinstance(part, int) else f".{part}" for part in path)[1:]
+
+
+def fuzz_config_with(key: tuple, value) -> dict:
+    """The fuzz base config with the number at the path ``key`` set to ``value``."""
+    config = fuzz_base_config()
+    node = config
+    for part in key[:-1]:
+        node = node[part]
+    node[key[-1]] = value
+    return config
+
+
 CONFIG_KEYS = tuple(numeric_keys(yaml.safe_load(default_config_text())))
 CONFIG_EDGES = (0, -1, math.nan, math.inf, -math.inf, 1e300, 1e-300)
 
@@ -608,6 +750,14 @@ class TestConfigFuzz:
 
     def test_every_number_is_a_key(self):
         assert len(CONFIG_KEYS) == 31
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("key", CONFIG_KEYS, ids=key_name)
+    def test_nonfinite_value_names_its_key(self, key, value):
+        # Rejected where the value is read, before any model sees it.
+        text = yaml.safe_dump(fuzz_config_with(key, value), sort_keys=False)
+        with pytest.raises(ConfigError, match=re.escape(f"'{key_name(key)}' must be")):
+            parse_config(text)
 
     # Pinned inputs whose arithmetic can raise: OverflowError from an
     # infinite JSD axis, a huge resonance, loop loss, signal wavelength or
@@ -638,11 +788,7 @@ class TestConfigFuzz:
     @example(command="jsd", key=("fwm", "signal_nm"), value=1e300)
     @example(command="fwm-sweep", key=("fwm", "gamma_per_w_m"), value=1e300)
     def test_one_key_at_an_edge(self, fit_inputs, command, key, value):
-        config = fuzz_base_config()
-        node = config
-        for part in key[:-1]:
-            node = node[part]
-        node[key[-1]] = value
+        config = fuzz_config_with(key, value)
         argv = [command]
         if command == "fit":
             argv += [str(fit_inputs / "laser_curve.csv"), "--model", "lasing"]
@@ -652,11 +798,21 @@ class TestConfigFuzz:
             run_edge_case(argv + ["--config", str(path)], Path(scratch))
 
 
+def source_env() -> dict[str, str]:
+    """The environment with this checkout's sources first on ``PYTHONPATH``,
+    so a fresh interpreter imports the package under test."""
+    source_root = str(Path(loopfwm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "loopfwm", "--version"],
         capture_output=True,
         text=True,
+        env=source_env(),
         timeout=120,
     )
     assert result.returncode == 0
@@ -665,9 +821,6 @@ def test_module_entry_point_runs():
 
 def scipy_modules_loaded(code: str) -> list[str]:
     """Run ``code`` in a fresh interpreter and list the scipy modules it loaded."""
-    source_root = str(Path(loopfwm.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
     # The commands print to stdout too, so the module list goes on the last line.
     script = (
         code
@@ -675,7 +828,8 @@ def scipy_modules_loaded(code: str) -> list[str]:
         + "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script], capture_output=True, text=True, env=source_env(),
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])

@@ -1,5 +1,7 @@
 """Tests for strict configuration parsing."""
 
+import re
+
 import pytest
 
 from loopfwm.config import (
@@ -152,28 +154,46 @@ class TestModuleInvariantsAtLoad:
         with pytest.raises(ConfigError, match="jsd: joint grid would have 36,060,601 cells"):
             parse_config(text)
 
+    # Each id names the axis quantity the input would make non-finite.  An
+    # infinite or nan edge or step is refused where it is read, naming its
+    # key; finite edges whose (start + stop)/2 or stop - start overflows are
+    # refused naming the derived quantity, the other staying finite.
     @pytest.mark.parametrize(
-        "replacements, name",
+        "replacements, message",
         [
-            ({"signal_stop_nm: 1566.0": "signal_stop_nm: .inf"}, "center_nm"),
-            (
+            pytest.param(
+                {"signal_stop_nm: 1566.0": "signal_stop_nm: .inf"},
+                "'jsd.signal_stop_nm' must be finite",
+                id="replacements0-center_nm",
+            ),
+            pytest.param(
                 {"signal_start_nm: 1560.0": "signal_start_nm: 1.0e+308",
                  "signal_stop_nm: 1566.0": "signal_stop_nm: 1.7e+308"},
-                "center_nm",
+                "jsd: center_nm must be finite",
+                id="replacements1-center_nm",
             ),
-            (
+            pytest.param(
                 {"signal_start_nm: 1560.0": "signal_start_nm: -1.0e+308",
                  "signal_stop_nm: 1566.0": "signal_stop_nm: 1.0e+308"},
-                "span_nm",
+                "jsd: span_nm must be finite",
+                id="replacements2-span_nm",
             ),
-            ({"idler_step_pm: 10.0": "idler_step_pm: .nan"}, "step_pm"),
+            pytest.param(
+                {"idler_step_pm: 10.0": "idler_step_pm: .nan"},
+                "'jsd.idler_step_pm' must be finite",
+                id="replacements3-step_pm",
+            ),
         ],
     )
-    def test_nonfinite_jsd_axis_is_wrapped(self, replacements, name):
-        # (start + stop)/2 overflows for the second case and stop - start
-        # for the third, each leaving the other finite.
-        with pytest.raises(ConfigError, match=f"jsd: {name} must be finite"):
+    def test_nonfinite_jsd_axis_is_wrapped(self, replacements, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(default_with(replacements))
+
+    def test_integer_past_float_range_rejected(self):
+        # YAML reads a long digit string as an int, which float() cannot hold.
+        text = default_with({"radius_um: 10.0": "radius_um: 1" + "0" * 400})
+        with pytest.raises(ConfigError, match="'ring.radius_um' must be finite"):
+            parse_config(text)
 
     def test_degenerate_triplet_rejected(self):
         with pytest.raises(ConfigError, match="fwm"):
