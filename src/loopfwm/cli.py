@@ -17,14 +17,16 @@ Subcommands
 Every run validates its configuration up front, writes deterministic
 CSV/text outputs into the output directory, and records a manifest with
 the configuration hash.  A subcommand only computes; :func:`main` writes
-only after the subcommand has computed every output, so a failed run
-writes no file.  Exit codes: 0 success, 2 configuration or parameter
-error, 3 a fit failed to converge or found its data unusable, 4 I/O error.
+only after the subcommand has computed every output, and removes what it
+wrote if a write fails, so a failed run leaves no file.  Exit codes:
+0 success, 2 configuration or parameter error, 3 a fit failed to converge
+or found its data unusable, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -72,19 +74,20 @@ def main(argv: list[str] | None = None) -> int:
         config, origin = _load(args)
         directory = Path(args.out) if args.out is not None else Path(config.output_dir)
         outputs, summary = args.handler(args, config, directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name, write in outputs.items():
-            write(directory / name)
         manifest = {
             "command": args.command,
             "config_input": origin,
             "config_sha256": hashlib.sha256(config.source_text.encode("utf-8")).hexdigest(),
             "outputs": sorted(outputs),
             "version": __version__,
-            "wall_clock_seconds": round(time.monotonic() - started, 6),
         }
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        (directory / "manifest.json").write_text(text, encoding="utf-8")
+
+        def write_manifest(path: Path) -> None:
+            manifest["wall_clock_seconds"] = round(time.monotonic() - started, 6)
+            text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+            path.write_text(text, encoding="utf-8")
+
+        _write_all(directory, {**outputs, "manifest.json": write_manifest})
         print(summary)
         return 0
     except ConfigError as exc:
@@ -105,6 +108,28 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid parameter: {exc}", file=sys.stderr)
         return 2
+
+
+def _write_all(directory: Path, outputs: Outputs) -> None:
+    """Write every output into ``directory``, or, if one write fails,
+    remove every file and directory this call made and re-raise."""
+    made = [path for path in (directory, *directory.parents) if not path.exists()]
+    paths = {directory / name: write for name, write in outputs.items()}
+    # Whatever lands on a fresh path is this run's, even a partial write.
+    ours = [path for path in paths if not path.exists()]
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for path, write in paths.items():
+            write(path)
+            ours.append(path)
+    except BaseException:
+        for path in ours:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        for path in made:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -287,14 +312,9 @@ def _cmd_laser_curve(args: argparse.Namespace, config: ExperimentConfig, directo
     if args.tpa is None:
         drop, tap = output_power_curve(config.gain, config.budget, currents)
     else:
-        points = [
-            steady_state_roundtrip(
-                config.gain, config.budget, current, tpa_db_per_mw=args.tpa
-            )
-            for current in currents
-        ]
-        drop = np.array([point.drop_port_power_mw for point in points])
-        tap = np.array([point.tap_power_mw for point in points])
+        drop, tap = steady_state_roundtrip(
+            config.gain, config.budget, currents, tpa_db_per_mw=args.tpa
+        )
 
     report = fit_lasing_curve(currents, drop, exclusion_cutoff_ma=args.cutoff_ma)
     outputs = {

@@ -18,8 +18,10 @@ transmission, which makes the self-consistent circulating power linear in
 the small-signal gain and hence linear in the drive current — the familiar
 threshold characteristic.  With an intensity-dependent (two-photon) ring
 loss the clamp moves with the power, and the steady state becomes the root
-of one monotone scalar equation in the amplifier output power, bracketed
-and bisected.  Neither solve needs the single-pass gain itself, but
+of one monotone scalar equation in the amplifier output power per current,
+bracketed and bisected for the whole current sweep at once.  Both solves
+share one contract: an array of currents in, the ``(drop, tap)`` powers
+out.  Neither needs the single-pass gain itself, but
 :func:`saturated_single_pass_gain` keeps the Newton solve of the relation
 above: it is the independent statement of the amplifier law that the
 steady states are checked against, and the benchmark tracer counts calls
@@ -124,8 +126,9 @@ class GainModel:
     """Current-driven amplifier gain with homogeneous saturation.
 
     The gain-current slope is stored in dB per mA so that calibration
-    points specified in decibels are reproduced exactly; the small-signal
-    gain in power nepers is :meth:`small_signal_gain_np`.
+    points specified in decibels are reproduced exactly.
+    :meth:`small_signal_gain_db` is the one statement of the capped gain
+    law ``min(k*I, cap)``; it maps an array of currents elementwise.
 
     Parameters
     ----------
@@ -176,28 +179,14 @@ class GainModel:
             max_small_signal_gain_db=max_small_signal_gain_db,
         )
 
-    def small_signal_gain_db(self, current_ma: float) -> float:
-        """Capped small-signal gain ``min(slope * I, cap)`` in dB."""
-        if current_ma < 0.0:
-            raise ValueError(f"current_ma must be >= 0, got {current_ma}")
-        return min(self.db_per_ma * current_ma, self.max_small_signal_gain_db)
-
-    def small_signal_gain_np(self, current_ma: float) -> float:
-        """Capped small-signal gain in power nepers."""
-        return self.small_signal_gain_db(current_ma) / DB_PER_NEPER
-
-
-@dataclass(frozen=True)
-class LaserOperatingPoint:
-    """Self-consistent loop state at one drive current."""
-
-    current_ma: float
-    small_signal_gain_db: float
-    saturated_gain_db: float
-    circulating_power_mw: float
-    drop_port_power_mw: float
-    tap_power_mw: float
-    above_threshold: bool
+    def small_signal_gain_db(self, current_ma):
+        """Capped small-signal gain ``min(slope * I, cap)`` in dB, elementwise."""
+        current_ma = np.asarray(current_ma, dtype=float)
+        if np.any(current_ma < 0.0):
+            raise ValueError("current_ma must be >= 0")
+        # A product past float range is infinite and then capped, so exact.
+        with np.errstate(over="ignore"):
+            return np.minimum(self.db_per_ma * current_ma, self.max_small_signal_gain_db)
 
 
 def saturated_single_pass_gain(
@@ -225,7 +214,7 @@ def saturated_single_pass_gain(
     """
     if input_power_mw < 0.0:
         raise ValueError(f"input_power_mw must be >= 0, got {input_power_mw}")
-    g0 = gain.small_signal_gain_np(current_ma)
+    g0 = float(gain.small_signal_gain_db(current_ma)) / DB_PER_NEPER
     if g0 == 0.0:
         return 1.0
     p = input_power_mw / gain.saturation_power_mw
@@ -247,31 +236,20 @@ def saturated_single_pass_gain(
     return x
 
 
-def _port_transmissions(budget: LossBudget, extra_ring_db: float = 0.0):
-    """Amplifier-to-drop and amplifier-to-tap transmissions, with extra ring loss."""
+def _finite_power(power_mw):
+    """``power_mw``, which must lie in float range everywhere."""
+    if not np.all(np.isfinite(power_mw)):
+        raise ValueError("the lasing power lies past float range; lower saturation_power_mw")
+    return power_mw
+
+
+def _port_powers(budget: LossBudget, amp_out_mw, extra_ring_db=0.0):
+    """Drop-port and 1% tap powers of an amplifier output power, with extra ring loss."""
     to_drop = 10.0 ** (
         -(budget.amplifier_to_ring_db + budget.ring_insertion_db + extra_ring_db) / 10.0
     )
     to_tap = 10.0 ** (-(budget.amplifier_to_tap_db + extra_ring_db) / 10.0)
-    return to_drop, to_tap
-
-
-def _clamped_power_mw(gain: GainModel, budget: LossBudget, g0_db):
-    """Amplifier output power with the saturated gain clamped at the loop loss."""
-    if budget.loop_db == 0.0:
-        raise ValueError(
-            "the loop loss is 0 dB, so without two-photon absorption the "
-            "lasing power has no finite steady state"
-        )
-    # Work the gain excess in dB so a calibration point sitting exactly
-    # at threshold yields exactly zero.
-    excess_np = np.clip(g0_db - budget.loop_db, 0.0, None) / DB_PER_NEPER
-    if not np.any(excess_np > 0.0):
-        # Nothing lases, and a loop loss above the gain cap may be too
-        # large for exp() below.
-        return excess_np
-    g_threshold = math.exp(budget.loop_db / DB_PER_NEPER)
-    return gain.saturation_power_mw * excess_np * g_threshold / (g_threshold - 1.0)
+    return amp_out_mw * to_drop, amp_out_mw * to_tap * 0.01
 
 
 def output_power_curve(gain: GainModel, budget: LossBudget, current_ma):
@@ -284,9 +262,9 @@ def output_power_curve(gain: GainModel, budget: LossBudget, current_ma):
         P_amp_out = P_sat * (g0 - g_th) * G_th / (G_th - 1)
 
     which is zero exactly at threshold and has no finite value for a
-    0 dB loop loss, rejected with ``ValueError``.  The returned tap power
-    is 1% of the power arriving at the 99:1 splitter; the drop-port power
-    is the power exiting the ring.
+    0 dB loop loss, rejected with ``ValueError``, as is a power past float
+    range.  The returned tap power is 1% of the power arriving at the 99:1
+    splitter; the drop-port power is the power exiting the ring.
 
     Parameters
     ----------
@@ -302,37 +280,48 @@ def output_power_curve(gain: GainModel, budget: LossBudget, current_ma):
     (ndarray, ndarray)
         ``(drop_port_power_mw, tap_power_mw)``; zeros below threshold.
     """
-    current_ma = np.asarray(current_ma, dtype=float)
-    if np.any(current_ma < 0.0):
-        raise ValueError("current_ma must be >= 0")
-    g0_db = np.minimum(gain.db_per_ma * current_ma, gain.max_small_signal_gain_db)
-    amp_out = _clamped_power_mw(gain, budget, g0_db)
-    to_drop, to_tap = _port_transmissions(budget)
-    drop = amp_out * to_drop
-    tap = amp_out * to_tap * 0.01
-    return drop, tap
+    g0_db = gain.small_signal_gain_db(current_ma)
+    if budget.loop_db == 0.0:
+        raise ValueError(
+            "the loop loss is 0 dB, so without two-photon absorption the "
+            "lasing power has no finite steady state"
+        )
+    # Work the gain excess in dB so a calibration point sitting exactly
+    # at threshold yields exactly zero.
+    excess = np.clip(g0_db - budget.loop_db, 0.0, None) / DB_PER_NEPER
+    amp_out = excess
+    # Where nothing lases, a loop loss above the gain cap may be too large
+    # for exp(), so it is never taken.
+    if np.any(excess > 0.0):
+        g_threshold = math.exp(budget.loop_db / DB_PER_NEPER)
+        with np.errstate(over="ignore"):
+            amp_out = gain.saturation_power_mw * excess * g_threshold / (g_threshold - 1.0)
+        amp_out = _finite_power(amp_out)
+    return _port_powers(budget, amp_out)
 
 
 def steady_state_roundtrip(
     gain: GainModel,
     budget: LossBudget,
-    current_ma: float,
+    current_ma,
     tpa_db_per_mw: float = 0.0,
-) -> LaserOperatingPoint:
-    """Self-consistent loop state, solved as one scalar root.
+):
+    """Self-consistent lasing characteristic with two-photon ring loss.
 
     The loop clamps the saturated gain to the inverse loop transmission,
     ``ln(G) = g_th + t*X``, where ``X`` is the amplifier output power and
     ``t*X`` the two-photon loss.  With ``P_in = X / G`` the amplifier law
-    then leaves one strictly increasing equation in ``X``,
+    then leaves one strictly increasing equation in ``X`` per current,
 
         f(X) = g_th + t*X + (X / P_sat) * (1 - exp(-(g_th + t*X))) - g0 = 0,
 
     with ``f(0) = g_th - g0``: no power at or below threshold (decided
     in dB, as in :func:`output_power_curve`) and one root above it.
-    Without two-photon absorption the root is the closed form; with it
-    the root is bisected to float resolution below
-    ``(g0 - g_th) / (t + (1 - exp(-g_th)) / P_sat)``.
+    Without two-photon absorption the root is the closed form, and this
+    returns :func:`output_power_curve`.  With it, every current's root is
+    bisected at once, each in its own bracket
+    ``[0, (g0 - g_th) / (t + (1 - exp(-g_th)) / P_sat)]``, until no
+    bracket holds a float strictly inside it.
 
     Parameters
     ----------
@@ -340,8 +329,8 @@ def steady_state_roundtrip(
         Amplifier parameters.
     budget : LossBudget
         Loop loss ledger.
-    current_ma : float
-        Drive current in mA.
+    current_ma : float or ndarray
+        Drive current(s) in mA, each >= 0.
     tpa_db_per_mw : float
         Extra ring insertion loss per mW of circulating power (measured
         at the amplifier output), modeling two-photon absorption.  Zero
@@ -349,47 +338,42 @@ def steady_state_roundtrip(
 
     Returns
     -------
-    LaserOperatingPoint
-        Steady state with powers at the amplifier output, the ring drop
-        port and the 1% monitor tap.
+    (ndarray, ndarray)
+        ``(drop_port_power_mw, tap_power_mw)`` at the ring drop port and
+        the 1% monitor tap; zeros at and below threshold.
 
     Raises
     ------
     ValueError
-        If ``tpa_db_per_mw`` is negative or not finite, or if the loop
-        loss is 0 dB with no two-photon absorption to bound the power.
+        If a current is negative, if ``tpa_db_per_mw`` is negative or not
+        finite, if the loop loss is 0 dB with no two-photon absorption to
+        bound the power, or if the power bracket lies past float range.
     """
     if not 0.0 <= tpa_db_per_mw < math.inf:
         raise ValueError(f"tpa_db_per_mw must be finite and >= 0, got {tpa_db_per_mw}")
+    if tpa_db_per_mw == 0.0:
+        return output_power_curve(gain, budget, current_ma)
 
     g0_db = gain.small_signal_gain_db(current_ma)
-    if tpa_db_per_mw == 0.0:
-        amp_out = float(_clamped_power_mw(gain, budget, g0_db))
-    else:
-        excess = max(g0_db - budget.loop_db, 0.0) / DB_PER_NEPER
-        g_th = budget.loop_db / DB_PER_NEPER
-        t = tpa_db_per_mw / DB_PER_NEPER
-        psat = gain.saturation_power_mw
-        low, high = 0.0, excess / (t - math.expm1(-g_th) / psat)
-        while True:
-            middle = 0.5 * (low + high)
-            if not low < middle < high:
-                break
-            loss = g_th + t * middle
-            if t * middle - middle * math.expm1(-loss) / psat < excess:
-                low = middle
-            else:
-                high = middle
-        amp_out = high
-
-    extra_db = tpa_db_per_mw * amp_out
-    to_drop, to_tap = _port_transmissions(budget, extra_db)
-    return LaserOperatingPoint(
-        current_ma=current_ma,
-        small_signal_gain_db=g0_db,
-        saturated_gain_db=budget.loop_db + extra_db if amp_out > 0.0 else g0_db,
-        circulating_power_mw=amp_out,
-        drop_port_power_mw=amp_out * to_drop,
-        tap_power_mw=amp_out * to_tap * 0.01,
-        above_threshold=g0_db >= budget.loop_db,
-    )
+    excess = np.clip(g0_db - budget.loop_db, 0.0, None) / DB_PER_NEPER
+    g_th = budget.loop_db / DB_PER_NEPER
+    t = tpa_db_per_mw / DB_PER_NEPER
+    psat = gain.saturation_power_mw
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        high = excess / (t - math.expm1(-g_th) / psat)
+    high = _finite_power(high)
+    low = np.zeros_like(high)
+    while True:
+        # Bit-equal to 0.5 * (low + high) above the subnormals, but two
+        # ends near float max cannot overflow a sum.
+        middle = 0.5 * low + 0.5 * high
+        if not np.any((low < middle) & (middle < high)):
+            break
+        # A settled bracket's middle is one of its ends.  The predicate
+        # holds at ``low`` (0, or a point found below the root), so ``high``,
+        # the root, stays put.
+        loss = g_th + t * middle
+        below = t * middle - middle * np.expm1(-loss) / psat < excess
+        low = np.where(below, middle, low)
+        high = np.where(below, high, middle)
+    return _port_powers(budget, high, tpa_db_per_mw * high)

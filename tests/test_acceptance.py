@@ -205,13 +205,8 @@ def test_criterion_08_fitter_recovery(capsys):
         worst = max(worst, abs(report.value("quality_factor") - q_true) / q_true)
 
     currents = np.arange(80.0, 152.5, 5.0)
-    contaminated = np.array(
-        [
-            steady_state_roundtrip(
-                CONFIG.gain, CONFIG.budget, current, tpa_db_per_mw=0.02
-            ).drop_port_power_mw
-            for current in currents
-        ]
+    contaminated, _ = steady_state_roundtrip(
+        CONFIG.gain, CONFIG.budget, currents, tpa_db_per_mw=0.02
     )
     threshold = fit_lasing_curve(
         currents, contaminated, exclusion_cutoff_ma=130.0

@@ -205,6 +205,27 @@ class TestLaserCurve:
         assert "loop loss is 0 dB" in capsys.readouterr().err
 
 
+class TestFailedWrite:
+    def test_unwritable_output_leaves_only_what_was_there(self, tmp_path, capsys):
+        # ``through.csv`` is written first; ``drop.csv`` is a directory.
+        (tmp_path / "drop.csv").mkdir()
+        assert main(["ring-spectrum", "--out", str(tmp_path)]) == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["drop.csv"]
+        assert (tmp_path / "drop.csv").is_dir()
+
+    def test_failed_write_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+        def fail_on_drop(path, *args, **kwargs):
+            if path.name == "drop.csv":
+                path.write_text("partial", encoding="utf-8")
+                raise OSError("disk full")
+            write_table(path, *args, **kwargs)
+
+        monkeypatch.setattr("loopfwm.cli.write_table", fail_on_drop)
+        assert main(["ring-spectrum", "--out", str(tmp_path / "a" / "b")]) == 4
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestFwmSweep:
     def slope_from(self, path) -> float:
         _, _, comments = read_table(path)
@@ -740,7 +761,12 @@ def fuzz_config_with(key: tuple, value) -> dict:
 
 
 CONFIG_KEYS = tuple(numeric_keys(yaml.safe_load(default_config_text())))
-CONFIG_EDGES = (0, -1, math.nan, math.inf, -math.inf, 1e300, 1e-300)
+CONFIG_EDGES = (0, -1, math.nan, math.inf, -math.inf, 1e300, 1e-300, 1.7e308)
+# Each subcommand, and ``laser-curve`` with the default two-photon loss, a
+# huge one, and one that is zero once converted to nepers.
+CONFIG_COMMANDS = ("ring-spectrum", "laser-curve", "laser-curve --tpa",
+                   "laser-curve --tpa=1e300", "laser-curve --tpa=5e-324",
+                   "fwm-sweep", "jsd", "fit")
 
 
 class TestConfigFuzz:
@@ -764,11 +790,12 @@ class TestConfigFuzz:
     # nonlinear parameter, ZeroDivisionError from a zero radius, a tiny
     # saturation power or pump wavelength, or an axis whose low edge is at
     # or below 0 nm, and RuntimeWarning from an infinite ring loss or an
-    # infinite or huge saturation power.  On the default 10 pm grid, a
-    # signal axis starting at -1 nm would ask for 94 M joint cells.
+    # infinite or huge saturation power, or a gain slope or a loop laser
+    # power past float range.  On the default 10 pm grid, a signal axis
+    # starting at -1 nm would ask for 94 M joint cells.
     @settings(deadline=None, max_examples=250)
     @given(
-        command=st.sampled_from(["ring-spectrum", "laser-curve", "fwm-sweep", "jsd", "fit"]),
+        command=st.sampled_from(CONFIG_COMMANDS),
         key=st.sampled_from(CONFIG_KEYS),
         value=st.sampled_from(CONFIG_EDGES),
     )
@@ -787,9 +814,18 @@ class TestConfigFuzz:
     @example(command="jsd", key=("fwm", "pump_nm"), value=1e-300)
     @example(command="jsd", key=("fwm", "signal_nm"), value=1e300)
     @example(command="fwm-sweep", key=("fwm", "gamma_per_w_m"), value=1e300)
+    @example(command="laser-curve", key=("gain", "calibration_gain_db"), value=1.7e308)
+    @example(command="laser-curve --tpa", key=("gain", "calibration_gain_db"), value=1.7e308)
+    @example(command="laser-curve --tpa=1e300", key=("gain", "calibration_gain_db"),
+             value=1.7e308)
+    @example(command="laser-curve --tpa=5e-324", key=("gain", "calibration_gain_db"),
+             value=1.7e308)
+    @example(command="laser-curve", key=("gain", "saturation_power_mw"), value=1.7e308)
+    @example(command="laser-curve --tpa=5e-324", key=("gain", "saturation_power_mw"),
+             value=1.7e308)
     def test_one_key_at_an_edge(self, fit_inputs, command, key, value):
         config = fuzz_config_with(key, value)
-        argv = [command]
+        argv = command.split()
         if command == "fit":
             argv += [str(fit_inputs / "laser_curve.csv"), "--model", "lasing"]
         with tempfile.TemporaryDirectory() as scratch:

@@ -368,14 +368,7 @@ def zoom_curve() -> tuple[np.ndarray, np.ndarray]:
     --stop-ma 90.004 --step-ma 0.0005``: 9 currents a few microamps apart
     at a 90 mA offset, with the first one dark."""
     currents = range_grid(90.0, 90.004, 0.0005)
-    powers = np.array(
-        [
-            steady_state_roundtrip(
-                CONFIG.gain, CONFIG.budget, current, tpa_db_per_mw=0.02
-            ).drop_port_power_mw
-            for current in currents
-        ]
-    )
+    powers, _ = steady_state_roundtrip(CONFIG.gain, CONFIG.budget, currents, tpa_db_per_mw=0.02)
     return currents, powers
 
 
@@ -449,13 +442,8 @@ class TestLasingCurveFit:
         assert report.points_used + report.points_excluded == self.CURRENTS.size
 
     def test_tpa_contamination_handled_by_cutoff(self):
-        powers = np.array(
-            [
-                steady_state_roundtrip(
-                    self.GAIN, self.BUDGET, current, tpa_db_per_mw=0.02
-                ).drop_port_power_mw
-                for current in self.CURRENTS
-            ]
+        powers, _ = steady_state_roundtrip(
+            self.GAIN, self.BUDGET, self.CURRENTS, tpa_db_per_mw=0.02
         )
         report = fit_lasing_curve(self.CURRENTS, powers, exclusion_cutoff_ma=130.0)
         assert report.value("threshold_ma") == pytest.approx(90.0, abs=1.0)

@@ -142,13 +142,10 @@ class TestConversionSweep:
         config = parse_config(default_config_text())
         gain, budget = config.gain, config.budget
         currents = np.arange(100.0, 301.0, 25.0)
-        pumps = []
-        for current in currents:
-            point = steady_state_roundtrip(gain, budget, current)
-            pumps.append(
-                point.circulating_power_mw * 10.0 ** (-budget.amplifier_to_ring_db / 10.0)
-            )
-        idler = sweep("pump", np.asarray(pumps), 0.13)
+        drop, _ = steady_state_roundtrip(gain, budget, currents)
+        # The add-port power is the drop-port power before the ring's insertion loss.
+        pumps = drop * 10.0 ** (budget.ring_insertion_db / 10.0)
+        idler = sweep("pump", pumps, 0.13)
         assert np.all(np.diff(idler) >= -1e-15)
         below_cap = idler[currents < 135.0]
         assert np.all(np.diff(below_cap) > 0.0)
