@@ -10,7 +10,8 @@ Subcommands
     Sweep pump or signal power and report the log-log conversion slope.
 ``jsd``
     Run the scanned joint-spectral-density measurement, fit the ridge,
-    and report the Schmidt decomposition of the underlying amplitude.
+    and report the purity and Schmidt number of the underlying amplitude,
+    exact over the scan windows in frequency.
 ``fit``
     Fit a Lorentzian resonance or a lasing curve read from CSV.
 
@@ -50,7 +51,9 @@ from .fitting import (
 )
 from .instrument import range_grid
 from .fwm import conversion_sweep
-from .jsd import jsa, ridge_fit, schmidt, simulate_jsd_scan
+# ``jsa`` and ``schmidt`` are not called here; they stay bound because
+# bench/tracing.py wraps the layer names this module binds.
+from .jsd import jsa, ridge_fit, schmidt, schmidt_purity, simulate_jsd_scan  # noqa: F401
 from .laser import output_power_curve, steady_state_roundtrip
 from .ring import drop_spectrum, linewidth_ghz, through_spectrum
 
@@ -386,17 +389,15 @@ def _cmd_jsd(args: argparse.Namespace, config: ExperimentConfig, directory: Path
     signal_axis = grid.signal.wavelengths_nm()
     idler_axis = grid.idler.wavelengths_nm()
     ridge = ridge_fit(matrix, signal_axis, idler_axis)
-
-    joint = jsa(
-        grid,
-        config.pump_linewidth_ghz,
-        signal_linewidth,
-        idler_linewidth,
-        signal_resonance_nm=triplet.signal_nm,
-        idler_resonance_nm=triplet.idler_nm,
-        pump_resonance_nm=triplet.pump_nm,
+    purity = schmidt_purity(
+        grid, triplet, config.pump_linewidth_ghz, signal_linewidth, idler_linewidth
     )
-    decomposition = schmidt(joint)
+    if not purity > 1.0 / sys.float_info.max:
+        raise ConfigError(
+            f"'jsd.pump_linewidth_ghz' = {config.pump_linewidth_ghz} GHz is so narrow that "
+            f"the Schmidt number 1/purity is past the float range"
+        )
+    schmidt_number = 1.0 / purity
 
     comments = (
         f"signal axis: {format_float(signal_axis[0])} to "
@@ -406,14 +407,12 @@ def _cmd_jsd(args: argparse.Namespace, config: ExperimentConfig, directory: Path
         f"pump linewidth: {format_float(config.pump_linewidth_ghz)} GHz",
         f"idler resolution: {format_float(config.jsd_resolution_pm)} pm",
     )
-    leading = ", ".join(format_float(c) for c in decomposition.coefficients[:8])
     report_lines = [
         f"ridge_slope: {format_float(ridge.slope)}",
         f"ridge_intercept_nm: {format_float(ridge.intercept_nm)}",
         f"ridge_rms_width_nm: {format_float(ridge.rms_width_nm)}",
-        f"purity: {format_float(decomposition.purity)}",
-        f"schmidt_number: {format_float(decomposition.schmidt_number)}",
-        f"leading_coefficients: {leading}",
+        f"purity: {format_float(purity)}",
+        f"schmidt_number: {format_float(schmidt_number)}",
     ]
     outputs = {
         "jsd_scan.csv": lambda path: write_grid(
@@ -424,8 +423,8 @@ def _cmd_jsd(args: argparse.Namespace, config: ExperimentConfig, directory: Path
     }
     return outputs, (
         f"ridge slope {format_float(ridge.slope)}, "
-        f"purity {format_float(decomposition.purity)}, "
-        f"K {format_float(decomposition.schmidt_number)}"
+        f"purity {format_float(purity)}, "
+        f"K {format_float(schmidt_number)}"
     )
 
 

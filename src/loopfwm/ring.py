@@ -96,6 +96,11 @@ class RingGeometry:
             group_index = wavelength_nm**2 / (fsr_nm * circumference_nm)
         except OverflowError as exc:
             raise ValueError(f"wavelength_nm {wavelength_nm} is out of range") from exc
+        except ZeroDivisionError as exc:
+            raise ValueError(
+                f"fsr_nm {fsr_nm} times the circumference of radius_um {radius_um} "
+                f"underflows to 0"
+            ) from exc
         return cls(radius_um=radius_um, group_index=group_index)
 
 

@@ -295,6 +295,37 @@ class TestJsd:
         assert any("signal axis" in comment for comment in comments)
         assert np.all(data[:, 2] >= 0.0)
 
+    def test_halved_steps_keep_the_report(self, tmp_path, default_runs):
+        # Purity and K are integrals over the windows in frequency and the
+        # width takes out the step's own share, so no reported number is a
+        # grid artifact.  Both steps of the default config halved: 1201^2.
+        config = yaml.safe_load(default_config_text())
+        config["jsd"].update(signal_step_pm=5.0, idler_step_pm=5.0)
+        path = tmp_path / "half.yaml"
+        path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+        assert main(["jsd", "--config", str(path), "--out", str(tmp_path / "half")]) == 0
+        default = report_fields(default_runs["jsd"][2] / "jsd_report.txt")
+        halved = report_fields(tmp_path / "half" / "jsd_report.txt")
+        assert sorted(halved) == sorted(default)
+        for name, value in default.items():
+            assert float(halved[name]) == pytest.approx(float(value), rel=1e-3), name
+
+    def test_runs_without_an_svd(self, tmp_path, small_config, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("jsd computed an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert main(["jsd", "--config", str(small_config), "--out", str(tmp_path / "run")]) == 0
+
+    def test_schmidt_number_past_float_range_names_the_key(self, tmp_path, capsys):
+        # K is about Gamma/(5 delta): 2.8e308 here, past the largest float.
+        config = fuzz_config_with((("jsd", "pump_linewidth_ghz"), 5e-308))
+        path = tmp_path / "narrow.yaml"
+        path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+        assert main(["jsd", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert "'jsd.pump_linewidth_ghz'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_scan_csv_is_the_long_form_table(self, tmp_path):
         # The grid writer must write what write_table writes for the repeated
         # signal axis, the tiled idler axis and the raveled scan.
@@ -523,10 +554,10 @@ DEFAULT_RUNS = {
     ),
     "jsd": (
         ["jsd"],
-        "ridge slope -0.978542674058, purity 0.0456659162829, K 21.8981700445\n",
+        "ridge slope -0.978542674058, purity 0.00356169083734, K 280.765525608\n",
         {
             "jsd_scan.csv": "27a7a59b0ffc17efadc3b18962c49f30fdb4ecceb96344ddb36518db23808a72",
-            "jsd_report.txt": "5bd6c69e8e0e8270211b88353c77da521a41f1cc610abbc236c2a8cbe2e2f4cc",
+            "jsd_report.txt": "0bb7136e907d7573ae1cdc24c45b66cbb49934dea4a4de9cb379418690678af9",
         },
     ),
 }
@@ -750,18 +781,20 @@ def key_name(path: tuple) -> str:
     return "".join(f"[{part}]" if isinstance(part, int) else f".{part}" for part in path)[1:]
 
 
-def fuzz_config_with(key: tuple, value) -> dict:
-    """The fuzz base config with the number at the path ``key`` set to ``value``."""
+def fuzz_config_with(*edits: tuple) -> dict:
+    """The fuzz base config with the number at each ``(key, value)`` edit's
+    path ``key`` set to ``value``."""
     config = fuzz_base_config()
-    node = config
-    for part in key[:-1]:
-        node = node[part]
-    node[key[-1]] = value
+    for key, value in edits:
+        node = config
+        for part in key[:-1]:
+            node = node[part]
+        node[key[-1]] = value
     return config
 
 
 CONFIG_KEYS = tuple(numeric_keys(yaml.safe_load(default_config_text())))
-CONFIG_EDGES = (0, -1, math.nan, math.inf, -math.inf, 1e300, 1e-300, 1.7e308)
+CONFIG_EDGES = (0, -1, math.nan, math.inf, -math.inf, 1e300, 1e-300, 1.7e308, 5e-324)
 # Each subcommand, and ``laser-curve`` with the default two-photon loss, a
 # huge one, and one that is zero once converted to nepers.
 CONFIG_COMMANDS = ("ring-spectrum", "laser-curve", "laser-curve --tpa",
@@ -770,9 +803,9 @@ CONFIG_COMMANDS = ("ring-spectrum", "laser-curve", "laser-curve --tpa",
 
 
 class TestConfigFuzz:
-    """A fuzz base config with one numeric key set to an edge value, run
-    through every subcommand.  The base is the packaged default with 100 pm
-    JSD steps, a 61 x 61 grid, so a ``jsd`` run stays quick."""
+    """A fuzz base config with one or two numeric keys set to edge values,
+    run through every subcommand.  The base is the packaged default with
+    100 pm JSD steps, a 61 x 61 grid, so a ``jsd`` run stays quick."""
 
     def test_every_number_is_a_key(self):
         assert len(CONFIG_KEYS) == 31
@@ -781,7 +814,7 @@ class TestConfigFuzz:
     @pytest.mark.parametrize("key", CONFIG_KEYS, ids=key_name)
     def test_nonfinite_value_names_its_key(self, key, value):
         # Rejected where the value is read, before any model sees it.
-        text = yaml.safe_dump(fuzz_config_with(key, value), sort_keys=False)
+        text = yaml.safe_dump(fuzz_config_with((key, value)), sort_keys=False)
         with pytest.raises(ConfigError, match=re.escape(f"'{key_name(key)}' must be")):
             parse_config(text)
 
@@ -790,8 +823,9 @@ class TestConfigFuzz:
     # nonlinear parameter, ZeroDivisionError from a zero radius, a tiny
     # saturation power or pump wavelength, or an axis whose low edge is at
     # or below 0 nm, and RuntimeWarning from an infinite ring loss or an
-    # infinite or huge saturation power, or a gain slope or a loop laser
-    # power past float range.  On the default 10 pm grid, a signal axis
+    # infinite or huge saturation power, a gain slope or a loop laser
+    # power past float range, or a subnormal pump linewidth that the JSD
+    # scan divides by.  On the default 10 pm grid, a signal axis
     # starting at -1 nm would ask for 94 M joint cells.
     @settings(deadline=None, max_examples=250)
     @given(
@@ -823,8 +857,29 @@ class TestConfigFuzz:
     @example(command="laser-curve", key=("gain", "saturation_power_mw"), value=1.7e308)
     @example(command="laser-curve --tpa=5e-324", key=("gain", "saturation_power_mw"),
              value=1.7e308)
+    @example(command="jsd", key=("jsd", "pump_linewidth_ghz"), value=5e-324)
     def test_one_key_at_an_edge(self, fit_inputs, command, key, value):
-        config = fuzz_config_with(key, value)
+        self.run(fit_inputs, command, [(key, value)])
+
+    # Two keys at once.  Pinned: a pump so narrow that dividing the signal
+    # detunings of a window reaching down to 0.5 nm by it overflows, and a
+    # radius and FSR whose product underflows to 0.
+    @settings(deadline=None, max_examples=100)
+    @given(
+        command=st.sampled_from(CONFIG_COMMANDS),
+        keys=st.lists(st.sampled_from(CONFIG_KEYS), min_size=2, max_size=2, unique=True),
+        values=st.tuples(st.sampled_from(CONFIG_EDGES), st.sampled_from(CONFIG_EDGES)),
+    )
+    @example(command="jsd", keys=[("jsd", "pump_linewidth_ghz"), ("jsd", "signal_start_nm")],
+             values=(1e-300, 0.5))
+    @example(command="ring-spectrum", keys=[("ring", "radius_um"), ("ring", "fsr_nm")],
+             values=(1e-300, 1e-300))
+    def test_two_keys_at_edges(self, fit_inputs, command, keys, values):
+        self.run(fit_inputs, command, list(zip(keys, values)))
+
+    @staticmethod
+    def run(fit_inputs, command: str, edits: list) -> None:
+        config = fuzz_config_with(*edits)
         argv = command.split()
         if command == "fit":
             argv += [str(fit_inputs / "laser_curve.csv"), "--model", "lasing"]
@@ -855,13 +910,14 @@ def test_module_entry_point_runs():
     assert "loopfwm" in result.stdout
 
 
-def scipy_modules_loaded(code: str) -> list[str]:
-    """Run ``code`` in a fresh interpreter and list the scipy modules it loaded."""
+def modules_loaded(code: str, package: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter and list the modules of ``package``
+    it loaded."""
     # The commands print to stdout too, so the module list goes on the last line.
     script = (
         code
         + "\nimport json, sys\n"
-        + "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+        + f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({package!r}))))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=source_env(),
@@ -872,10 +928,15 @@ def scipy_modules_loaded(code: str) -> list[str]:
 
 
 class TestImportCost:
-    """Every subcommand runs on numpy and PyYAML: none loads scipy."""
+    """Every subcommand runs on numpy and PyYAML: none loads scipy, and the
+    CLI does not load numpy.polynomial."""
 
     def test_cli_import_loads_no_scipy(self):
-        assert scipy_modules_loaded("import loopfwm.cli") == []
+        assert modules_loaded("import loopfwm.cli", "scipy") == []
+
+    def test_cli_import_loads_no_numpy_polynomial(self):
+        # numpy.polynomial costs about 5 ms per process; every command would pay it.
+        assert modules_loaded("import loopfwm.cli", "numpy.polynomial") == []
 
     def test_laser_and_lasing_fit_load_no_scipy(self, tmp_path):
         out, curve = str(tmp_path), str(tmp_path / "laser_curve.csv")
@@ -884,7 +945,7 @@ class TestImportCost:
             f"assert main(['laser-curve', '--tpa', '--out', {out!r}]) == 0\n"
             f"assert main(['fit', {curve!r}, '--model', 'lasing', '--out', {out!r}]) == 0\n"
         )
-        assert scipy_modules_loaded(code) == []
+        assert modules_loaded(code, "scipy") == []
 
     def test_commands_load_no_scipy(self, tmp_path):
         out = str(tmp_path)
@@ -899,4 +960,4 @@ class TestImportCost:
         code = "from loopfwm.cli import main\n" + "".join(
             f"assert main({command + ['--out', out]!r}) == 0\n" for command in commands
         )
-        assert scipy_modules_loaded(code) == []
+        assert modules_loaded(code, "scipy") == []

@@ -1,7 +1,8 @@
 """Tests for joint spectral analysis and Schmidt decomposition.
 
 Purity is cross-checked against a trace-formula oracle that never calls
-an SVD.  The scan simulation is checked for mass conservation, against
+an SVD, and the closed-form purity over the scan windows against a
+Gauss-Legendre Nystrom oracle and the narrow-pump limit.  The scan simulation is checked for mass conservation, against
 synthetic ridges of known slope, and against a brute-force cell average
 taken in wavelength; its closed-form cell mean is checked against
 elementary integrals.
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from loopfwm.config import default_config_text, parse_config
 from loopfwm.fwm import FwmTriplet, idler_wavelength
 from loopfwm.instrument import MAX_GRID_POINTS
+import loopfwm.jsd as jsd_module
 from loopfwm.jsd import (
     _idler_cell_mean,
     JointAmplitude,
@@ -28,6 +30,7 @@ from loopfwm.jsd import (
     resonance_lineshape,
     ridge_fit,
     schmidt,
+    schmidt_purity,
     simulate_jsd_scan,
     two_photon_pump_lineshape,
 )
@@ -484,6 +487,24 @@ class TestCellMean:
         expected = h * (np.arctan(high / h) - np.arctan(low / h)) / (high - low)
         np.testing.assert_allclose(got, np.vstack([expected, expected]), rtol=1e-13)
 
+    @pytest.mark.parametrize("pump_linewidth", [1e-300, 1e-260])
+    def test_narrow_pump_is_its_pole(self, pump_linewidth):
+        # A pump far narrower than everything else is pi*d*|l_i(-a)|^2 over
+        # the cell width in the cell holding its pole at -a, and O(d^2),
+        # which underflows, elsewhere.  The second row's shift is the
+        # detuning of a 0.5 nm signal; no ratio by d may overflow on the way.
+        h = 35.0
+        low = np.array([5.0, 10.0, 11.0])
+        high = np.array([10.0, 11.0, 20.0])
+        got = _idler_cell_mean(np.array([[-10.3], [6e17]]), low, high, pump_linewidth, h)
+        pole = math.pi * pump_linewidth * h**2 / (10.3**2 + h**2)
+        np.testing.assert_allclose(got, [[0.0, pole, 0.0], [0.0, 0.0, 0.0]], rtol=1e-12, atol=0.0)
+
+    def test_subnormal_pump_stays_finite(self):
+        got = _idler_cell_mean(np.array([[-10.3], [6e17]]), np.array([10.0]), np.array([11.0]),
+                               5e-324, 35.0)
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+
     @pytest.mark.parametrize(
         "shift, y, pump_linewidth, idler_linewidth",
         [(0.0, 0.0, 0.05, 70.0), (120.0, -119.99, 0.05, 70.0), (-30.0, 200.0, 35.0, 70.0),
@@ -555,3 +576,146 @@ class TestScanProperties:
             * np.abs(resonance_lineshape(omega_s, signal)) ** 2
         )
         np.testing.assert_allclose(sharp @ (edges[:-1] - edges[1:]), expected, rtol=1e-9)
+
+
+def nystrom_purity(grid, triplet, pump, signal_width, idler_width, offset_sign=1.0) -> float:
+    """Purity of the amplitude on Gauss-Legendre panels no wider than the
+    pump linewidth: ``B = sqrt(w_x) A sqrt(w_y)`` over the windows in
+    frequency, and ``||B^H B||_F^2 / ||B||_F^4``."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+
+    def axis(spectral_axis, resonance_nm):
+        low, high = detuning_ghz(
+            [spectral_axis.center_nm + spectral_axis.span_nm / 2.0,
+             spectral_axis.center_nm - spectral_axis.span_nm / 2.0],
+            resonance_nm,
+        )
+        edges = np.linspace(low, high, math.ceil((high - low) / pump) + 1)
+        half = np.diff(edges)[:, None] / 2.0
+        return ((edges[:-1, None] + half) + half * nodes).ravel(), (half * weights).ravel()
+
+    x, x_weights = axis(grid.signal, triplet.signal_nm)
+    y, y_weights = axis(grid.idler, triplet.idler_nm)
+    offset = offset_sign * SPEED_OF_LIGHT_NM_GHZ * triplet.energy_residual_per_nm
+    amplitude = (
+        two_photon_pump_lineshape(x[:, None] + y[None, :] - offset, pump)
+        * resonance_lineshape(x, signal_width)[:, None]
+        * resonance_lineshape(y, idler_width)[None, :]
+    )
+    b = np.sqrt(x_weights)[:, None] * amplitude * np.sqrt(y_weights)[None, :]
+    gram = b.conj().T @ b
+    return float(np.sum(np.abs(gram) ** 2) / np.sum(np.abs(b) ** 2) ** 2)
+
+
+def wide_grid(width_ghz: float, linewidths: float) -> SpectralGrid:
+    """Windows about ``linewidths`` resonance linewidths to each side of
+    ``TRIPLET``'s signal and idler, 65 points each."""
+    def axis(resonance_nm):
+        span_nm = 2.0 * linewidths * width_ghz * resonance_nm**2 / SPEED_OF_LIGHT_NM_GHZ
+        return SpectralAxis(center_nm=resonance_nm, span_nm=span_nm, step_pm=span_nm * 1e3 / 64)
+
+    return SpectralGrid(signal=axis(TRIPLET.signal_nm), idler=axis(TRIPLET.idler_nm))
+
+
+class TestSchmidtPurity:
+    """The closed-form purity over the scan windows in frequency."""
+
+    DEFAULT_WIDTH = 70.0671902361555
+    # 3 nm windows off the resonances, and a triplet whose idler sits 0.1 nm
+    # off energy conservation (a 12.5 GHz ridge offset).  The windows are not
+    # centered, so mirroring the offset moves the purity by about 1%.
+    OFF_TRIPLET = FwmTriplet(
+        pump_nm=TRIPLET.pump_nm, signal_nm=TRIPLET.signal_nm, idler_nm=TRIPLET.idler_nm + 0.1
+    )
+    OFF_GRID = SpectralGrid(
+        signal=SpectralAxis(center_nm=TRIPLET.signal_nm + 0.8, span_nm=3.0, step_pm=10.0),
+        idler=SpectralAxis(center_nm=TRIPLET.idler_nm - 0.5, span_nm=3.0, step_pm=10.0),
+    )
+    CENTERED_GRID = SpectralGrid(
+        signal=SpectralAxis(center_nm=TRIPLET.signal_nm, span_nm=3.0, step_pm=10.0),
+        idler=SpectralAxis(center_nm=TRIPLET.idler_nm, span_nm=3.0, step_pm=10.0),
+    )
+
+    @pytest.mark.parametrize("pump", [5.0, 35.0])
+    @pytest.mark.parametrize("offset", [False, True], ids=["on_resonance", "offset_ridge"])
+    def test_matches_nystrom_oracle(self, pump, offset):
+        triplet, grid = (self.OFF_TRIPLET, self.OFF_GRID) if offset else (TRIPLET, self.CENTERED_GRID)
+        assert (triplet.energy_residual_per_nm != 0.0) == offset
+        expected = nystrom_purity(grid, triplet, pump, GAMMA_GHZ, 0.99 * GAMMA_GHZ)
+        got = schmidt_purity(grid, triplet, pump, GAMMA_GHZ, 0.99 * GAMMA_GHZ)
+        assert got == pytest.approx(expected, rel=1e-6)
+        if offset:
+            mirrored = nystrom_purity(
+                grid, triplet, pump, GAMMA_GHZ, 0.99 * GAMMA_GHZ, offset_sign=-1.0
+            )
+            assert abs(mirrored / expected - 1.0) > 1e-3
+
+    @pytest.mark.parametrize("pump", [0.005, 0.05, 0.5, 5.0, 35.0])
+    def test_refined_quadrature_agrees(self, monkeypatch, pump):
+        # Twice the panels per decade, a first panel half as wide.
+        widths = (pump, self.DEFAULT_WIDTH, self.DEFAULT_WIDTH)
+        coarse = schmidt_purity(CONFIG.jsd_grid, CONFIG.triplet, *widths)
+        monkeypatch.setattr(jsd_module, "_PANEL_RATIO", math.sqrt(jsd_module._PANEL_RATIO))
+        monkeypatch.setattr(jsd_module, "_FIRST_PANEL", jsd_module._FIRST_PANEL / 2.0)
+        monkeypatch.setattr(jsd_module, "_PANEL_LEVELS", 2 * jsd_module._PANEL_LEVELS)
+        fine = schmidt_purity(CONFIG.jsd_grid, CONFIG.triplet, *widths)
+        assert coarse == pytest.approx(fine, rel=1e-8)
+
+    def test_default_is_near_the_narrow_pump_limit(self):
+        purity = schmidt_purity(
+            CONFIG.jsd_grid, CONFIG.triplet, CONFIG.pump_linewidth_ghz,
+            self.DEFAULT_WIDTH, self.DEFAULT_WIDTH,
+        )
+        limit = self.DEFAULT_WIDTH / (5.0 * CONFIG.pump_linewidth_ghz)
+        assert 1.0 / purity == pytest.approx(limit, rel=0.01)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pump=st.floats(min_value=1e-3, max_value=1e4),
+        signal=st.floats(min_value=5.0, max_value=300.0),
+        idler=st.floats(min_value=5.0, max_value=300.0),
+    )
+    @example(pump=1e4, signal=5.0, idler=5.0)
+    @example(pump=35.0, signal=70.0, idler=70.0)
+    def test_purity_in_unit_interval(self, pump, signal, idler):
+        grid = SpectralGrid(
+            signal=SpectralAxis(center_nm=TRIPLET.signal_nm, span_nm=12.0, step_pm=100.0),
+            idler=SpectralAxis(center_nm=TRIPLET.idler_nm, span_nm=12.0, step_pm=100.0),
+        )
+        assert 0.0 < schmidt_purity(grid, TRIPLET, pump, signal, idler) <= 1.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ratio=st.floats(min_value=1e-5, max_value=1e-3),
+        width=st.floats(min_value=20.0, max_value=200.0),
+    )
+    def test_narrow_pump_limit(self, ratio, width):
+        # K -> Gamma/(5 delta), the integral of |phi(u) phi*(u + D)|^2 over
+        # the ridge, with a correction of about 3.8 delta/Gamma.
+        purity = schmidt_purity(wide_grid(width, 250.0), TRIPLET, ratio * width, width, width)
+        assert abs(5.0 * ratio / purity - 1.0) <= 4.0 * ratio + 1e-5
+
+    @pytest.mark.parametrize("pump", [5e-324, 1e-300, 1e300, 1.7e308])
+    def test_extreme_pump_linewidths(self, pump):
+        # Tier-1 turns any RuntimeWarning on the way into an error.
+        purity = schmidt_purity(
+            CONFIG.jsd_grid, CONFIG.triplet, pump, self.DEFAULT_WIDTH, self.DEFAULT_WIDTH
+        )
+        if pump < 1.0:
+            # The purity is linear in a narrow pump; at 5e-324 it underflows to 0.
+            assert purity == pytest.approx(5.0 * pump / self.DEFAULT_WIDTH, rel=0.01, abs=0.0)
+        else:
+            assert purity == pytest.approx(1.0, abs=1e-12)
+            assert purity <= 1.0
+
+    def test_rejects_narrow_span(self):
+        narrow = SpectralAxis(center_nm=1555.0, span_nm=0.5, step_pm=10.0)
+        with pytest.raises(ValueError, match="four"):
+            schmidt_purity(SpectralGrid(signal=narrow, idler=narrow), TRIPLET, 3.5, 70.0, 70.0)
+
+    @pytest.mark.parametrize("name", ["pump", "signal", "idler"])
+    def test_rejects_nonpositive_or_nonfinite_linewidths(self, name):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            widths = {"pump": 0.05, "signal": 70.0, "idler": 70.0, name: bad}
+            with pytest.raises(ValueError, match=f"{name}_linewidth_ghz"):
+                schmidt_purity(CONFIG.jsd_grid, CONFIG.triplet, *widths.values())

@@ -155,6 +155,8 @@ class TestGeometry:
             RingGeometry.from_fsr(0.0, fsr_nm=7.5, wavelength_nm=1555.0)
         with pytest.raises(ValueError, match="out of range"):
             RingGeometry.from_fsr(10.0, fsr_nm=7.5, wavelength_nm=1e300)
+        with pytest.raises(ValueError, match="underflows"):
+            RingGeometry.from_fsr(1e-300, fsr_nm=5e-324, wavelength_nm=1555.0)
 
     def test_group_index_bounds(self):
         # Physically plausible guided-mode group indices only.
