@@ -8,8 +8,7 @@ idler is analyzed through joint-spectral and Schmidt-mode decompositions.
 Subpackages
 -----------
 ring
-    Add-drop ring transfer functions, loaded quality factor, coupling
-    calibration.
+    Add-drop ring transfer functions, linewidths, coupling calibration.
 laser
     Loop loss ledger, saturated-gain threshold model, lasing curve.
 fwm

@@ -225,28 +225,16 @@ def _initial_lorentzian_guess(
 
     half = 0.5 * abs(amplitude)
     magnitude = np.abs(deviation)
-    left = float(wavelengths[0])
-    for i in range(extremum, 0, -1):
-        if magnitude[i - 1] < half:
-            left = float(
-                np.interp(
-                    half,
-                    [magnitude[i - 1], magnitude[i]],
-                    [wavelengths[i - 1], wavelengths[i]],
-                )
-            )
-            break
-    right = float(wavelengths[-1])
-    for i in range(extremum, wavelengths.size - 1):
-        if magnitude[i + 1] < half:
-            right = float(
-                np.interp(
-                    half,
-                    [magnitude[i + 1], magnitude[i]],
-                    [wavelengths[i + 1], wavelengths[i]],
-                )
-            )
-            break
+    # The nearest samples below half maximum on either side of the extremum.
+    below = np.flatnonzero(magnitude < half)
+    side = int(np.searchsorted(below, extremum))
+    left, right = float(wavelengths[0]), float(wavelengths[-1])
+    if side > 0:
+        pair = below[side - 1] + np.array([0, 1])
+        left = float(np.interp(half, magnitude[pair], wavelengths[pair]))
+    if side < below.size:
+        pair = below[side] - np.array([0, 1])
+        right = float(np.interp(half, magnitude[pair], wavelengths[pair]))
     fwhm = right - left
     if not (np.isfinite(fwhm) and fwhm > 0.0):
         fwhm = 5.0 * float(np.median(np.diff(wavelengths)))

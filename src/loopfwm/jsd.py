@@ -28,6 +28,9 @@ Conventions
   the signal detuning in closed form and the idler pair on panels graded
   toward the ridge, over the windows in frequency, so its purity does not
   depend on the steps.
+* Both closed forms share one primitive, :func:`_log1p_over`, which keeps
+  its digits where two poles meet and where the pump pole sits on a scan
+  cell edge or a purity window edge.
 """
 
 from __future__ import annotations
@@ -307,8 +310,8 @@ _FIRST_PANEL = 1.0
 #: Most graded panels on each side of a feature (3**16 spans 4.3e7 widths);
 #: one more panel reaches the end of the window.
 _PANEL_LEVELS = 16
-#: Most idler-pair nodes evaluated at once; blocks this small stay in cache
-#: and reuse their memory.
+#: Most idler-pair nodes, or scan cells, evaluated at once; blocks this small
+#: stay in cache and reuse their memory.
 _BLOCK_NODES = 1 << 14
 #: Widths, in idler half widths, past which a Lorentzian tail holds less than
 #: 1e-30 of its line: windows are cut there, the pump linewidth held within
@@ -351,6 +354,40 @@ def _panels(edges: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
     return (middle + half * nodes).reshape(shape), (half * weights).reshape(shape)
 
 
+def _log1p_over(z: np.ndarray, p, q, low, high) -> np.ndarray:
+    """``E(z) = log1p(z)/z`` for complex ``z``, with ``E(0) = 1``.
+
+    A product of two Lorentzians integrated over ``[low, high]`` leaves, by
+    partial fractions, the divided difference of the edge logarithms of its
+    two poles ``p`` and ``q`` in one half plane:
+
+        (Log((high - p)/(low - p)) - Log((high - q)/(low - q)))/(p - q)
+            = E(z) * (high - low)/((low - p)*(high - q)),
+
+    where ``1 + z = ((high - p)/(low - p))*((low - q)/(high - q))`` is the
+    cross ratio of poles and edges.  The right side subtracts no two
+    logarithms and divides by no ``p - q``, so it keeps its digits between
+    close edges and takes the limit where the poles meet.
+
+    With ``t = x(2 + x) + y^2 = |1 + z|^2 - 1``, ``log1p(z)`` is
+    ``0.5*log1p(t) + i*arctan2(y, 1 + x)``, which keeps the digits of a
+    small ``z``.  Where ``t < -1/2``, as where ``p`` nears ``high``, ``1 + z``
+    formed from ``z`` has lost its digits, so ``log1p(z)`` is the logarithm
+    of the cross ratio, formed for those elements only.  ``z`` comes from the
+    caller, in its own order of operations; the rest broadcast against it.
+    """
+    x, y = z.real, z.imag
+    t = x * (2.0 + x) + y * y
+    far = np.unravel_index(np.flatnonzero(t < -0.5), z.shape)
+    t[far] = 0.0
+    log1p = 0.5 * np.log1p(t, out=t) + 1j * np.arctan2(y, 1.0 + x)
+    p, q, low, high = (np.broadcast_to(v, z.shape)[far] for v in (p, q, low, high))
+    ratio = (high - p) / (low - p) * ((low - q) / (high - q))
+    log1p.real[far] = 0.5 * np.log(ratio.real**2 + ratio.imag**2)
+    log1p.imag[far] = np.arctan2(ratio.imag, ratio.real)
+    return np.divide(log1p, z, out=np.ones_like(z), where=z != 0.0)
+
+
 def schmidt_purity(
     grid: SpectralGrid,
     triplet: FwmTriplet,
@@ -377,14 +414,12 @@ def schmidt_purity(
     ``-a - i d``, ``-a' + i d`` and ``-/+ i h`` pair up by half plane into
 
         F * s/(d h) = d/(2 i d - D) * (Psi(a') - conj(Psi(a)))
-        Psi(a) = s/(i s - a) * (h log1p(w)/(p - q) - Im L)
+        Psi(a) = s/(i s - a) * (h E(w) (x_hi - x_lo)/((x_lo - p)(x_hi - q)) - Im L)
 
-    where ``p = -a + i d``, ``q = i h``, ``L = Log((x_hi - q)/(x_lo - q))``
-    and ``1 + w = (x_hi - p)(x_lo - q)/((x_lo - p)(x_hi - q))``, so
-    ``log1p(w)/(p - q)`` is the divided difference of the edge logarithms
-    of two poles in one half plane.  ``log1p(w)`` comes from ``w`` where it
-    is small and from ``1 + w`` elsewhere, which keeps its digits where the
-    pump pole nears a window edge.  On the diagonal ``F = Im Psi(a)``.
+    where ``p = -a + i d``, ``q = i h``, ``L = Log((x_hi - q)/(x_lo - q))``,
+    and ``E(w)`` times the fraction is the divided difference of the edge
+    logarithms of ``p`` and ``q`` (see :func:`_log1p_over`).  On the
+    diagonal ``F = Im Psi(a)``.
     The factor ``d h/s``, which under- or overflows at extreme widths,
     cancels in the purity and is dropped.
 
@@ -422,32 +457,14 @@ def schmidt_purity(
     r = max(-_FAR**2, min(offset / unit, _FAR**2))
     requested = pump_linewidth_ghz / unit
     d = min(max(requested, min(1.0, h) / _FAR), max(1.0, h) * _FAR)
-    if d == h:
-        # p meets q at a = 0; a pump one ulp wider moves the purity by ~1e-16.
-        d = math.nextafter(d, math.inf)
 
     s = d + h
-    span = x_hi - x_lo
-    high_pole = complex(x_hi, -h)
-    low_ratio = complex(x_lo, -h) / high_pole
     im_l = math.atan2(h, x_lo) - math.atan2(h, x_hi)
 
     def psi(a: np.ndarray) -> np.ndarray:
-        low_gap = (x_lo + a) - 1j * d
-        pole_gap = 1j * (d - h) - a
-        w = pole_gap * (span / (low_gap * high_pole))
-        ratio = ((x_hi + a) - 1j * d) / low_gap * low_ratio
-        small = w.real**2 + w.imag**2 < 0.25
-        # log1p(w) from w where it is small, from 1 + w elsewhere.
-        log1p = np.empty_like(w)
-        doubled = log1p.real
-        np.log1p(w.real * (2.0 + w.real) + w.imag**2, out=doubled, where=small)
-        np.log(ratio.real**2 + ratio.imag**2, out=doubled, where=~small)
-        log1p.real = 0.5 * doubled
-        log1p.imag = np.where(
-            small, np.arctan2(w.imag, 1.0 + w.real), np.arctan2(ratio.imag, ratio.real)
-        )
-        return (log1p * h / pole_gap - im_l) * (-(s / (a * a + s * s)) * (a + 1j * s))
+        scale = (x_hi - x_lo) / (((x_lo + a) - 1j * d) * (x_hi - 1j * h))
+        e = _log1p_over((1j * (d - h) - a) * scale, 1j * d - a, 1j * h, x_lo, x_hi)
+        return (e * scale * h - im_l) * (-(s / (a * a + s * s)) * (a + 1j * s))
 
     nodes, weights = _gauss_legendre(_GAUSS_NODES)
     breakpoints = _breakpoints(((0.0, 1.0), (r, h), (r - x_lo, d), (r - x_hi, d)), y_lo, y_hi)
@@ -545,20 +562,6 @@ def ridge_fit(
 _LINEAR_PUMP = 1e-250
 
 
-def _log1p_over(z: np.ndarray) -> np.ndarray:
-    """``log1p(z)/z`` for complex ``z``, with its limit 1 at ``z = 0``.
-
-    numpy's complex ``log1p`` takes the real part as ``log|1+z|``, which
-    loses the low digits of a small ``z``; ``0.5*log1p(2x + x^2 + y^2)``
-    keeps them.
-    """
-    x, y = z.real, z.imag
-    log1p = np.empty_like(z)
-    log1p.real = 0.5 * np.log1p(x * (2.0 + x) + y * y)
-    log1p.imag = np.arctan2(y, 1.0 + x)
-    return np.divide(log1p, z, out=np.ones_like(z), where=z != 0.0)
-
-
 def _idler_cell_mean(
     shift: np.ndarray,
     low: np.ndarray,
@@ -572,23 +575,17 @@ def _idler_cell_mean(
     ``a = shift``, the integrand ``d^2 h^2 / (((y+a)^2 + d^2) (y^2 + h^2))``
     has the poles ``p = -a + i*d`` and ``q = i*h`` in the upper half plane
     and their conjugates below, so its integral is twice the real part of
-    the residue terms of ``p`` and ``q``.  Summed, those two terms are a
-    divided difference over ``(p, q)``; with ``s = d + h``,
-    ``W = high - low`` and ``E(z) = log1p(z)/z``, the mean is
+    the residue terms of ``p`` and ``q``, whose sum is the divided
+    difference of :func:`_log1p_over`.  With ``s = d + h``,
+    ``W = high - low`` and ``E`` that function, the mean is
 
         d*s/(a^2 + s^2) * h*theta/W + Im[d/(a + i*s) * P * E(w) * h/(high - q)]
 
     where ``theta = arg((high - p)/(low - p))`` is the pump Lorentzian's
     arctan difference, ``P = d/(low - p)`` and
-    ``w = W*(p - q)/((low - p)*(high - q))``.  ``1 + w`` is the ratio of
-    the two poles' edge ratios, so ``log1p(w)/(p - q)`` is the divided
-    difference of their edge logarithms, and ``E(w)`` writes it without
-    dividing by ``p - q``.  Neither term is a difference of two
-    logarithms, so nothing is lost between close cell edges or close
-    poles, and where ``p`` meets ``q`` (``a = 0`` and ``d = h``) the pair
-    term takes the limit ``E(0) = 1``.  Far from both lines the two terms
-    nearly cancel, so there the relative rounding error grows as the cube
-    of the distance, in cells that hold almost nothing.
+    ``w = W*(p - q)/((low - p)*(high - q))``.  Far from both lines the two
+    terms nearly cancel, so there the relative rounding error grows as the
+    cube of the distance, in cells that hold almost nothing.
 
     The arctangent argument and ``w`` divide distances by ``d``, which
     overflows for a narrow enough pump.  Below :data:`_LINEAR_PUMP` of the
@@ -598,7 +595,7 @@ def _idler_cell_mean(
     ``O(d^2)``, which underflows, elsewhere.  So such a ``d`` is evaluated
     at that floor and the mean scaled down to it.
 
-    ``shift`` broadcasts against the cell edges.
+    ``shift`` is a column, one row per shift; it broadcasts against the edges.
     """
     d = pump_linewidth_ghz
     h = idler_half_width_ghz
@@ -606,6 +603,11 @@ def _idler_cell_mean(
     floor = _LINEAR_PUMP * extent
     if d < floor:
         return _idler_cell_mean(shift, low, high, floor, h) * (d / floor)
+    rows = max(1, _BLOCK_NODES // np.size(high))
+    if len(shift) > rows:
+        # Blocks that stay in cache; each one's floor is at most this one, so it keeps d.
+        blocks = [shift[i : i + rows] for i in range(0, len(shift), rows)]
+        return np.concatenate([_idler_cell_mean(block, low, high, d, h) for block in blocks])
     s = d + h
     width = high - low
     low_sum = low + shift
@@ -613,8 +615,8 @@ def _idler_cell_mean(
     pump = d / (low_sum - 1j * d)
     idler = h / (high - 1j * h)
     w = pump * ((1j * (d - h) - shift) / d) * (width / h * idler)
-    pair = d / (shift + 1j * s) * pump * _log1p_over(w) * idler
-    return (d / s) / (1.0 + (shift / s) ** 2) * theta * (h / width) + pair.imag
+    pair = d / (shift + 1j * s) * pump * _log1p_over(w, 1j * d - shift, 1j * h, low, high)
+    return (d / s) / (1.0 + (shift / s) ** 2) * theta * (h / width) + (pair * idler).imag
 
 
 def simulate_jsd_scan(

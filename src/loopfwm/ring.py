@@ -65,10 +65,6 @@ class RingGeometry:
         """Ring circumference ``2*pi*R`` in nanometers."""
         return 2.0 * math.pi * self.radius_um * 1e3
 
-    def fsr_nm(self, wavelength_nm: float) -> float:
-        """Free spectral range ``lambda**2 / (n_g * L)`` near ``wavelength_nm``."""
-        return wavelength_nm**2 / (self.group_index * self.circumference_nm)
-
     @classmethod
     def from_fsr(cls, radius_um: float, fsr_nm: float, wavelength_nm: float) -> "RingGeometry":
         """Build a geometry whose group index reproduces a measured FSR.
@@ -292,11 +288,6 @@ def drop_fwhm_nm(resonance_nm: float, geometry: RingGeometry, coupling: RingCoup
     return fwhm
 
 
-def loaded_q(resonance_nm: float, geometry: RingGeometry, coupling: RingCoupling) -> float:
-    """Loaded quality factor ``lambda_0 / FWHM`` of the drop resonance."""
-    return resonance_nm / drop_fwhm_nm(resonance_nm, geometry, coupling)
-
-
 def linewidth_ghz(resonance_nm: float, geometry: RingGeometry, coupling: RingCoupling) -> float:
     """Loaded linewidth of the drop resonance in ordinary frequency (GHz).
 
@@ -346,8 +337,8 @@ def solve_coupling(
     Returns
     -------
     RingCoupling
-        Symmetric coupling whose :func:`loaded_q` and on-resonance
-        :func:`through_transmission` reproduce the two targets.
+        Symmetric coupling whose loaded Q (``resonance_nm / drop_fwhm_nm``)
+        and on-resonance :func:`through_transmission` match the two targets.
 
     Raises
     ------

@@ -317,6 +317,24 @@ class TestJsd:
         monkeypatch.setattr(np.linalg, "svd", refuse)
         assert main(["jsd", "--config", str(small_config), "--out", str(tmp_path / "run")]) == 0
 
+    def test_pump_pole_on_an_idler_cell_edge(self, tmp_path):
+        # These idler bounds put a cell edge exactly on the ridge in the row
+        # at signal 1563 nm, and the narrow pump puts its pole 1e-9 GHz off
+        # the real axis there, where 1 + w of the cell mean is nearly 0.
+        config = yaml.safe_load(default_config_text())
+        config["jsd"].update(
+            pump_linewidth_ghz=1.0e-9,
+            idler_start_nm=1546.309755020285,
+            idler_stop_nm=1552.309755020285,
+        )
+        path = tmp_path / "edge.yaml"
+        path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["jsd", "--config", str(path), "--out", str(out)]) == 0
+        for name in ("jsd_scan.csv", "jsd_report.txt"):
+            assert not NONFINITE.search((out / name).read_text(encoding="utf-8")), name
+        assert math.isfinite(float(report_fields(out / "jsd_report.txt")["ridge_rms_width_nm"]))
+
     def test_schmidt_number_past_float_range_names_the_key(self, tmp_path, capsys):
         # K is about Gamma/(5 delta): 2.8e308 here, past the largest float.
         config = fuzz_config_with((("jsd", "pump_linewidth_ghz"), 5e-308))

@@ -10,6 +10,7 @@ elementary integrals.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -460,6 +461,26 @@ class TestCellMean:
         ) / (high - low)
         np.testing.assert_allclose(got[0], exact, rtol=1e-9)
 
+    @pytest.mark.parametrize("pump_linewidth", [1e-5, 1e-7, 1e-9, 1e-12])
+    @pytest.mark.parametrize("edge", ["low", "high"])
+    def test_pump_pole_on_a_cell_edge(self, edge, pump_linewidth):
+        # On the high edge 1 + w is nearly 0, so it must come from the
+        # cross ratio, not from w.  The oracle is 50-digit quadrature with
+        # the pole as a breakpoint.
+        h, low, high = 35.0, 10.0, 11.25
+        shift = -high if edge == "high" else -low
+        got = _idler_cell_mean(
+            np.full((1, 1), shift), np.array([low]), np.array([high]), pump_linewidth, h
+        )
+        with mpmath.workdps(50):
+            a, d = mpmath.mpf(shift), mpmath.mpf(pump_linewidth)
+            integral = mpmath.quad(
+                lambda y: d**2 * h**2 / (((y + a) ** 2 + d**2) * (y**2 + h**2)),
+                sorted({low, -shift, high}),
+            )
+            expected = float(integral / (high - low))
+        assert got[0, 0] == pytest.approx(expected, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("shift", [0.0, 3.0, -50.0])
     @pytest.mark.parametrize("pump_linewidth", [0.05, 35.0, 1e3])
     def test_wide_span_is_lorentzian_convolution(self, shift, pump_linewidth):
@@ -650,7 +671,7 @@ class TestSchmidtPurity:
             )
             assert abs(mirrored / expected - 1.0) > 1e-3
 
-    @pytest.mark.parametrize("pump", [0.005, 0.05, 0.5, 5.0, 35.0])
+    @pytest.mark.parametrize("pump", [0.005, 0.05, 0.5, 5.0, 35.0, DEFAULT_WIDTH / 2.0])
     def test_refined_quadrature_agrees(self, monkeypatch, pump):
         # Twice the panels per decade, a first panel half as wide.
         widths = (pump, self.DEFAULT_WIDTH, self.DEFAULT_WIDTH)
@@ -694,6 +715,19 @@ class TestSchmidtPurity:
         # the ridge, with a correction of about 3.8 delta/Gamma.
         purity = schmidt_purity(wide_grid(width, 250.0), TRIPLET, ratio * width, width, width)
         assert abs(5.0 * ratio / purity - 1.0) <= 4.0 * ratio + 1e-5
+
+    @pytest.mark.parametrize("offset", [False, True], ids=["on_resonance", "offset_ridge"])
+    def test_pump_pole_on_the_signal_pole(self, offset):
+        # With equal resonance widths Gamma, delta = Gamma/2 puts the pump
+        # pole on the signal pole where the idler detuning meets the ridge
+        # (a = 0); the purity is finite and continuous there.
+        triplet, grid = (self.OFF_TRIPLET, self.OFF_GRID) if offset else (TRIPLET, self.CENTERED_GRID)
+        widths = (self.DEFAULT_WIDTH, self.DEFAULT_WIDTH)
+        half = self.DEFAULT_WIDTH / 2.0
+        purity = schmidt_purity(grid, triplet, half, *widths)
+        beside = schmidt_purity(grid, triplet, math.nextafter(half, math.inf), *widths)
+        assert math.isfinite(purity)
+        assert purity == pytest.approx(beside, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("pump", [5e-324, 1e-300, 1e300, 1.7e308])
     def test_extreme_pump_linewidths(self, pump):

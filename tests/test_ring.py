@@ -21,7 +21,6 @@ from loopfwm.ring import (
     drop_transmission,
     field_enhancement,
     linewidth_ghz,
-    loaded_q,
     roundtrip_phase,
     solve_coupling,
     through_spectrum,
@@ -130,14 +129,18 @@ class TestGeometry:
         assert GEOMETRY.circumference_nm == pytest.approx(2.0 * math.pi * 10.0e3, rel=1e-15)
 
     def test_fsr_round_trip(self):
-        assert GEOMETRY.fsr_nm(1555.87) == pytest.approx(7.5, rel=1e-14)
+        # FSR = lambda**2 / (n_g * L).
+        fsr = 1555.87**2 / (GEOMETRY.group_index * GEOMETRY.circumference_nm)
+        assert fsr == pytest.approx(7.5, rel=1e-14)
 
     def test_group_index_from_fsr(self):
         # lambda**2 / (FSR * L) with L = 2*pi*10 um.
         assert GEOMETRY.group_index == pytest.approx(5.136951696849072, rel=1e-13)
 
     def test_phase_advances_one_fsr_per_2pi(self):
-        lam = RESONANCE_NM - GEOMETRY.fsr_nm(RESONANCE_NM)
+        lam = RESONANCE_NM - RESONANCE_NM**2 / (
+            GEOMETRY.group_index * GEOMETRY.circumference_nm
+        )
         phase = roundtrip_phase(lam, RESONANCE_NM, GEOMETRY)
         # Adjacent resonance sits within a percent of one FSR step of
         # exactly 2*pi (the 1/lambda grid is not exactly periodic in
@@ -221,7 +224,7 @@ class TestLinewidth:
 
 class TestCalibration:
     def test_reproduces_both_targets(self, calibrated):
-        assert loaded_q(RESONANCE_NM, GEOMETRY, calibrated) == pytest.approx(
+        assert RESONANCE_NM / drop_fwhm_nm(RESONANCE_NM, GEOMETRY, calibrated) == pytest.approx(
             2750.0, rel=1e-12
         )
         assert through_transmission(0.0, calibrated) == pytest.approx(0.04, abs=1e-12)
@@ -240,7 +243,7 @@ class TestCalibration:
             q_target = rng.uniform(1200.0, 50000.0)
             extinction = rng.uniform(0.0, 0.5)
             coupling = solve_coupling(GEOMETRY, RESONANCE_NM, q_target, extinction)
-            assert loaded_q(RESONANCE_NM, GEOMETRY, coupling) == pytest.approx(
+            assert RESONANCE_NM / drop_fwhm_nm(RESONANCE_NM, GEOMETRY, coupling) == pytest.approx(
                 q_target, rel=1e-9
             )
             assert through_transmission(0.0, coupling) == pytest.approx(
