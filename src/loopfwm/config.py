@@ -17,6 +17,7 @@ was loaded.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -88,15 +89,15 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(document, dict):
         raise ConfigError("config root must be a key-value mapping")
 
-    ring_section = _pop_mapping(document, "ring", "")
-    geometry, resonance_nm, coupling = _parse_ring(ring_section)
-    budget = _parse_loss_budget(_pop_mapping(document, "loss_budget", ""))
-    gain = _parse_gain(_pop_mapping(document, "gain", ""))
-    gamma, triplet = _parse_fwm(_pop_mapping(document, "fwm", ""))
-    grid, pump_linewidth = _parse_jsd(_pop_mapping(document, "jsd", ""))
-    spectrum_res, jsd_res = _parse_instrument(_pop_mapping(document, "instrument", ""))
-    output_dir = _pop_value(document, "output_dir", "", str)
-    _reject_unknown(document, "")
+    root = _Section(document, "")
+    geometry, resonance_nm, coupling = _parse_ring(root.section("ring"))
+    budget = _parse_loss_budget(root.section("loss_budget"))
+    gain = _parse_gain(root.section("gain"))
+    gamma, triplet = _parse_fwm(root.section("fwm"))
+    grid, pump_linewidth = _parse_jsd(root.section("jsd"))
+    spectrum_res, jsd_res = _parse_instrument(root.section("instrument"))
+    output_dir = root.string("output_dir")
+    root.done()
 
     return ExperimentConfig(
         source_text=text,
@@ -115,196 +116,163 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def _qualify(context: str, key: str) -> str:
-    return f"{context}.{key}" if context else key
+class _Section:
+    """One mapping of the document, read key by key under its key path.
 
+    Each read pops a required key and checks its type, and :meth:`done`
+    rejects any key left over.  Errors name a key by its dotted path from
+    the root, e.g. ``'loss_budget.elements[2].loss_db'``.
+    """
 
-def _reject_unknown(mapping: dict, context: str) -> None:
-    if mapping:
-        key = next(iter(mapping))
-        raise ConfigError(f"unknown key '{_qualify(context, key)}'")
+    def __init__(self, mapping, path: str):
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"'{path}' must be a key-value section")
+        self.mapping = mapping
+        self.path = path
+        self.prefix = f"{path}." if path else ""
 
+    def pop(self, key: str):
+        if key not in self.mapping:
+            raise ConfigError(f"missing required key '{self.prefix}{key}'")
+        return self.mapping.pop(key)
 
-def _pop_required(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"missing required key '{_qualify(context, key)}'")
-    return mapping.pop(key)
-
-
-def _pop_mapping(mapping: dict, key: str, context: str) -> dict:
-    value = _pop_required(mapping, key, context)
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{_qualify(context, key)}' must be a key-value section")
-    return value
-
-
-def _pop_value(mapping: dict, key: str, context: str, kind: type):
-    value = _pop_required(mapping, key, context)
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"'{_qualify(context, key)}' must be a number, got {value!r}")
+    def number(self, key: str) -> float:
+        value = self._typed(key, (int, float), "a number")
         # No key takes nan or +-inf, nor an integer past float range.
         if not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"'{_qualify(context, key)}' must be finite, got {value!r}")
+            raise ConfigError(f"'{self.prefix}{key}' must be finite, got {value!r}")
         return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"'{_qualify(context, key)}' must be an integer, got {value!r}")
-        return int(value)
-    if not isinstance(value, kind):
-        raise ConfigError(
-            f"'{_qualify(context, key)}' must be of type {kind.__name__}, got {value!r}"
-        )
-    return value
+
+    def numbers(self, *keys: str) -> list[float]:
+        return [self.number(key) for key in keys]
+
+    def integer(self, key: str) -> int:
+        return self._typed(key, int, "an integer")
+
+    def string(self, key: str) -> str:
+        return self._typed(key, str, "of type str")
+
+    def section(self, key: str) -> _Section:
+        return _Section(self.pop(key), self.prefix + key)
+
+    def done(self) -> None:
+        if self.mapping:
+            raise ConfigError(f"unknown key '{self.prefix}{next(iter(self.mapping))}'")
+
+    @contextmanager
+    def building(self):
+        """Report a model's ``ValueError`` as a ``ConfigError`` naming this section."""
+        try:
+            yield
+        except ValueError as exc:
+            raise ConfigError(f"{self.path}: {exc}") from exc
+
+    def _typed(self, key: str, kinds, description: str):
+        value = self.pop(key)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ConfigError(f"'{self.prefix}{key}' must be {description}, got {value!r}")
+        return value
 
 
-def _parse_ring(section: dict) -> tuple[RingGeometry, float, RingCoupling]:
-    context = "ring"
-    radius_um = _pop_value(section, "radius_um", context, float)
-    resonance_nm = _pop_value(section, "resonance_nm", context, float)
-    has_fsr = "fsr_nm" in section
-    has_index = "group_index" in section
-    if has_fsr == has_index:
+def _parse_ring(section: _Section) -> tuple[RingGeometry, float, RingCoupling]:
+    radius_um = section.number("radius_um")
+    resonance_nm = section.number("resonance_nm")
+    has_fsr = "fsr_nm" in section.mapping
+    if has_fsr == ("group_index" in section.mapping):
         raise ConfigError("ring must set exactly one of 'ring.fsr_nm' or 'ring.group_index'")
-    try:
+    fsr_or_index = section.number("fsr_nm" if has_fsr else "group_index")
+    with section.building():
         if has_fsr:
-            fsr_nm = _pop_value(section, "fsr_nm", context, float)
-            geometry = RingGeometry.from_fsr(radius_um, fsr_nm, resonance_nm)
+            geometry = RingGeometry.from_fsr(radius_um, fsr_or_index, resonance_nm)
         else:
-            group_index = _pop_value(section, "group_index", context, float)
-            geometry = RingGeometry(radius_um=radius_um, group_index=group_index)
-    except ValueError as exc:
-        raise ConfigError(f"ring: {exc}") from exc
-
-    coupling_section = _pop_mapping(section, "coupling", context)
-    _reject_unknown(section, context)
+            geometry = RingGeometry(radius_um=radius_um, group_index=fsr_or_index)
+    coupling_section = section.section("coupling")
+    section.done()
     coupling = _parse_coupling(coupling_section, geometry, resonance_nm)
     return geometry, resonance_nm, coupling
 
 
-def _parse_coupling(section: dict, geometry: RingGeometry, resonance_nm: float) -> RingCoupling:
-    context = "ring.coupling"
-    by_target = "quality_factor" in section or "extinction" in section
+def _parse_coupling(section: _Section, geometry: RingGeometry, resonance_nm: float) -> RingCoupling:
+    target_keys = ("quality_factor", "extinction")
     explicit_keys = ("through_amplitude", "drop_amplitude", "loss_amplitude")
-    by_amplitude = any(key in section for key in explicit_keys)
-    if by_target == by_amplitude:
+    by_target = any(key in section.mapping for key in target_keys)
+    if by_target == any(key in section.mapping for key in explicit_keys):
         raise ConfigError(
             "ring.coupling must set either {quality_factor, extinction} "
             "or {through_amplitude, drop_amplitude, loss_amplitude}"
         )
-    try:
+    values = section.numbers(*(target_keys if by_target else explicit_keys))
+    section.done()
+    with section.building():
         if by_target:
-            quality = _pop_value(section, "quality_factor", context, float)
-            extinction = _pop_value(section, "extinction", context, float)
-            _reject_unknown(section, context)
-            return solve_coupling(geometry, resonance_nm, quality, extinction)
-        amplitudes = [_pop_value(section, key, context, float) for key in explicit_keys]
-        _reject_unknown(section, context)
-        return RingCoupling(*amplitudes)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+            return solve_coupling(geometry, resonance_nm, *values)
+        return RingCoupling(*values)
 
 
-def _parse_loss_budget(section: dict) -> LossBudget:
-    context = "loss_budget"
-    ring_insertion_db = _pop_value(section, "ring_insertion_db", context, float)
-    ring_index = _pop_value(section, "ring_index", context, int)
-    tap_index = _pop_value(section, "tap_index", context, int)
-    raw_elements = _pop_required(section, "elements", context)
-    _reject_unknown(section, context)
+def _parse_loss_budget(section: _Section) -> LossBudget:
+    ring_insertion_db = section.number("ring_insertion_db")
+    ring_index = section.integer("ring_index")
+    tap_index = section.integer("tap_index")
+    raw_elements = section.pop("elements")
+    section.done()
     if not isinstance(raw_elements, list) or not raw_elements:
         raise ConfigError("'loss_budget.elements' must be a non-empty list")
     elements = []
-    for position, entry in enumerate(raw_elements):
-        entry_context = f"{context}.elements[{position}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"'{entry_context}' must be a key-value section")
-        name = _pop_value(entry, "name", entry_context, str)
-        loss_db = _pop_value(entry, "loss_db", entry_context, float)
-        _reject_unknown(entry, entry_context)
-        try:
+    for position, raw_entry in enumerate(raw_elements):
+        entry = _Section(raw_entry, f"{section.path}.elements[{position}]")
+        name = entry.string("name")
+        loss_db = entry.number("loss_db")
+        entry.done()
+        with entry.building():
             elements.append(LossElement(name, loss_db))
-        except ValueError as exc:
-            raise ConfigError(f"{entry_context}: {exc}") from exc
-    try:
+    with section.building():
         return LossBudget(
             elements=tuple(elements),
             ring_insertion_db=ring_insertion_db,
             ring_index=ring_index,
             tap_index=tap_index,
         )
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _parse_gain(section: dict) -> GainModel:
-    context = "gain"
-    current_ma = _pop_value(section, "calibration_current_ma", context, float)
-    gain_db = _pop_value(section, "calibration_gain_db", context, float)
-    saturation_mw = _pop_value(section, "saturation_power_mw", context, float)
-    max_gain_db = _pop_value(section, "max_small_signal_gain_db", context, float)
-    _reject_unknown(section, context)
-    try:
+def _parse_gain(section: _Section) -> GainModel:
+    current_ma = section.number("calibration_current_ma")
+    gain_db = section.number("calibration_gain_db")
+    saturation_mw = section.number("saturation_power_mw")
+    max_gain_db = section.number("max_small_signal_gain_db")
+    section.done()
+    with section.building():
         return GainModel.from_calibration(
             current_ma,
             gain_db,
             saturation_power_mw=saturation_mw,
             max_small_signal_gain_db=max_gain_db,
         )
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _parse_fwm(section: dict) -> tuple[float, FwmTriplet]:
-    context = "fwm"
-    gamma = _pop_value(section, "gamma_per_w_m", context, float)
-    pump_nm = _pop_value(section, "pump_nm", context, float)
-    signal_nm = _pop_value(section, "signal_nm", context, float)
-    _reject_unknown(section, context)
+def _parse_fwm(section: _Section) -> tuple[float, FwmTriplet]:
+    gamma, pump_nm, signal_nm = section.numbers("gamma_per_w_m", "pump_nm", "signal_nm")
+    section.done()
     if gamma <= 0.0:
         raise ConfigError(f"'fwm.gamma_per_w_m' must be positive, got {gamma}")
-    try:
+    with section.building():
         return gamma, FwmTriplet.from_pump_signal(pump_nm, signal_nm)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _parse_jsd(section: dict) -> tuple[SpectralGrid, float]:
-    context = "jsd"
-    pump_linewidth = _pop_value(section, "pump_linewidth_ghz", context, float)
+def _parse_jsd(section: _Section) -> tuple[SpectralGrid, float]:
+    pump_linewidth = section.number("pump_linewidth_ghz")
     if pump_linewidth <= 0.0:
         raise ConfigError(f"'jsd.pump_linewidth_ghz' must be positive, got {pump_linewidth}")
-    bounds = {
-        key: _pop_value(section, key, context, float)
-        for key in (
-            "signal_start_nm",
-            "signal_stop_nm",
-            "signal_step_pm",
-            "idler_start_nm",
-            "idler_stop_nm",
-            "idler_step_pm",
-        )
-    }
-    _reject_unknown(section, context)
-    try:
-        signal = SpectralAxis.from_range(
-            bounds["signal_start_nm"], bounds["signal_stop_nm"], bounds["signal_step_pm"]
-        )
-        idler = SpectralAxis.from_range(
-            bounds["idler_start_nm"], bounds["idler_stop_nm"], bounds["idler_step_pm"]
-        )
-        return SpectralGrid(signal=signal, idler=idler), pump_linewidth
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+    signal = section.numbers("signal_start_nm", "signal_stop_nm", "signal_step_pm")
+    idler = section.numbers("idler_start_nm", "idler_stop_nm", "idler_step_pm")
+    section.done()
+    with section.building():
+        grid = SpectralGrid(SpectralAxis.from_range(*signal), SpectralAxis.from_range(*idler))
+        return grid, pump_linewidth
 
 
-def _parse_instrument(section: dict) -> tuple[float, float]:
-    context = "instrument"
-    spectrum_res = _pop_value(section, "spectrum_resolution_pm", context, float)
-    jsd_res = _pop_value(section, "jsd_resolution_pm", context, float)
-    _reject_unknown(section, context)
+def _parse_instrument(section: _Section) -> tuple[float, float]:
+    spectrum_res, jsd_res = section.numbers("spectrum_resolution_pm", "jsd_resolution_pm")
+    section.done()
     if spectrum_res <= 0.0:
         raise ConfigError(
             f"'instrument.spectrum_resolution_pm' must be positive, got {spectrum_res}"

@@ -373,17 +373,21 @@ def _log1p_over(z: np.ndarray, p, q, low, high) -> np.ndarray:
     ``0.5*log1p(t) + i*arctan2(y, 1 + x)``, which keeps the digits of a
     small ``z``.  Where ``t < -1/2``, as where ``p`` nears ``high``, ``1 + z``
     formed from ``z`` has lost its digits, so ``log1p(z)`` is the logarithm
-    of the cross ratio, formed for those elements only.  ``z`` comes from the
-    caller, in its own order of operations; the rest broadcast against it.
+    of the cross ratio, formed for those elements only, as it is where
+    ``|z|`` passes about 1e154 and ``t`` overflows.  The cross ratio's
+    modulus comes from ``hypot``, as its square can leave float range.
+    ``z`` comes from the caller, in its own order of operations; the rest
+    broadcast against it.
     """
     x, y = z.real, z.imag
-    t = x * (2.0 + x) + y * y
-    far = np.unravel_index(np.flatnonzero(t < -0.5), z.shape)
+    with np.errstate(over="ignore"):
+        t = x * (2.0 + x) + y * y
+    far = np.unravel_index(np.flatnonzero((t < -0.5) | np.isinf(t)), z.shape)
     t[far] = 0.0
     log1p = 0.5 * np.log1p(t, out=t) + 1j * np.arctan2(y, 1.0 + x)
     p, q, low, high = (np.broadcast_to(v, z.shape)[far] for v in (p, q, low, high))
     ratio = (high - p) / (low - p) * ((low - q) / (high - q))
-    log1p.real[far] = 0.5 * np.log(ratio.real**2 + ratio.imag**2)
+    log1p.real[far] = np.log(np.abs(ratio))
     log1p.imag[far] = np.arctan2(ratio.imag, ratio.real)
     return np.divide(log1p, z, out=np.ones_like(z), where=z != 0.0)
 
@@ -585,7 +589,8 @@ def _idler_cell_mean(
     arctan difference, ``P = d/(low - p)`` and
     ``w = W*(p - q)/((low - p)*(high - q))``.  Far from both lines the two
     terms nearly cancel, so there the relative rounding error grows as the
-    cube of the distance, in cells that hold almost nothing.
+    cube of the distance, in cells that hold almost nothing; where their
+    ``O(d^2)`` mean is subnormal it can round below 0, so it is clipped at 0.
 
     The arctangent argument and ``w`` divide distances by ``d``, which
     overflows for a narrow enough pump.  Below :data:`_LINEAR_PUMP` of the
@@ -616,7 +621,8 @@ def _idler_cell_mean(
     idler = h / (high - 1j * h)
     w = pump * ((1j * (d - h) - shift) / d) * (width / h * idler)
     pair = d / (shift + 1j * s) * pump * _log1p_over(w, 1j * d - shift, 1j * h, low, high)
-    return (d / s) / (1.0 + (shift / s) ** 2) * theta * (h / width) + (pair * idler).imag
+    mean = (d / s) / (1.0 + (shift / s) ** 2) * theta * (h / width) + (pair * idler).imag
+    return np.maximum(mean, 0.0, out=mean)
 
 
 def simulate_jsd_scan(

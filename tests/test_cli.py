@@ -320,20 +320,25 @@ class TestJsd:
     def test_pump_pole_on_an_idler_cell_edge(self, tmp_path):
         # These idler bounds put a cell edge exactly on the ridge in the row
         # at signal 1563 nm, and the narrow pump puts its pole 1e-9 GHz off
-        # the real axis there, where 1 + w of the cell mean is nearly 0.
-        config = yaml.safe_load(default_config_text())
-        config["jsd"].update(
-            pump_linewidth_ghz=1.0e-9,
-            idler_start_nm=1546.309755020285,
-            idler_stop_nm=1552.309755020285,
-        )
-        path = tmp_path / "edge.yaml"
-        path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
-        out = tmp_path / "run"
-        assert main(["jsd", "--config", str(path), "--out", str(out)]) == 0
-        for name in ("jsd_scan.csv", "jsd_report.txt"):
-            assert not NONFINITE.search((out / name).read_text(encoding="utf-8")), name
-        assert math.isfinite(float(report_fields(out / "jsd_report.txt")["ridge_rms_width_nm"]))
+        # the real axis there, where 1 + w of the cell mean is nearly 0.  At
+        # 1e-160 GHz |w| passes 1e154, so |1 + w|^2 overflows, and far cells
+        # hold subnormal means.
+        for width in (1.0e-9, 1.0e-160):
+            config = yaml.safe_load(default_config_text())
+            config["jsd"].update(
+                pump_linewidth_ghz=width,
+                idler_start_nm=1546.309755020285,
+                idler_stop_nm=1552.309755020285,
+            )
+            path = tmp_path / f"edge_{width:g}.yaml"
+            path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+            out = tmp_path / f"run_{width:g}"
+            assert main(["jsd", "--config", str(path), "--out", str(out)]) == 0, width
+            for name in ("jsd_scan.csv", "jsd_report.txt"):
+                text = (out / name).read_text(encoding="utf-8")
+                assert not NONFINITE.search(text), (width, name)
+            width_nm = report_fields(out / "jsd_report.txt")["ridge_rms_width_nm"]
+            assert math.isfinite(float(width_nm)), width
 
     def test_schmidt_number_past_float_range_names_the_key(self, tmp_path, capsys):
         # K is about Gamma/(5 delta): 2.8e308 here, past the largest float.

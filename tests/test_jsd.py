@@ -481,6 +481,22 @@ class TestCellMean:
             expected = float(integral / (high - low))
         assert got[0, 0] == pytest.approx(expected, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("pump_linewidth", [1e-160, 1e-200, 1e-240])
+    @pytest.mark.parametrize("edge", ["low", "high"])
+    def test_narrow_pump_pole_on_a_cell_edge(self, edge, pump_linewidth):
+        # Here |w| passes 1e154, so |1 + w|^2 overflows on the low edge, and
+        # the cross ratio's squared modulus under- or overflows.  The half of
+        # the pump Lorentzian inside the cell gives the mean to within
+        # O(d log d) relative: pi/2 * d * h^2/(pole^2 + h^2)/W.
+        h, low, high = 35.0, 10.0, 11.25
+        pole = high if edge == "high" else low
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _idler_cell_mean(
+                np.full((1, 1), -pole), np.array([low]), np.array([high]), pump_linewidth, h
+            )
+        expected = math.pi / 2.0 * pump_linewidth * h**2 / (pole**2 + h**2) / (high - low)
+        assert got[0, 0] == pytest.approx(expected, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("shift", [0.0, 3.0, -50.0])
     @pytest.mark.parametrize("pump_linewidth", [0.05, 35.0, 1e3])
     def test_wide_span_is_lorentzian_convolution(self, shift, pump_linewidth):
