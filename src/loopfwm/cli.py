@@ -49,7 +49,7 @@ from .fitting import (
     fit_lorentzian,
     weighted_line,
 )
-from .instrument import range_grid
+from .instrument import MAX_GRID_POINTS, range_grid
 from .fwm import conversion_sweep
 # ``jsa`` and ``schmidt`` are not called here; they stay bound because
 # bench/tracing.py wraps the layer names this module binds.
@@ -334,8 +334,10 @@ def _cmd_laser_curve(args: argparse.Namespace, config: ExperimentConfig, directo
 
 
 def _cmd_fwm_sweep(args: argparse.Namespace, config: ExperimentConfig, directory: Path) -> Run:
-    if args.points < 2:
-        raise ConfigError(f"a sweep needs at least 2 points, got {args.points}")
+    if not 2 <= args.points <= MAX_GRID_POINTS:
+        raise ConfigError(
+            f"a sweep needs 2 to {MAX_GRID_POINTS:,} points, got {args.points}"
+        )
     if not (0.0 < args.start_mw < args.stop_mw < math.inf):
         raise ConfigError(
             f"power range must satisfy 0 < start < stop < inf, "
@@ -431,7 +433,7 @@ def _cmd_jsd(args: argparse.Namespace, config: ExperimentConfig, directory: Path
 def _cmd_fit(args: argparse.Namespace, config: ExperimentConfig, directory: Path) -> Run:
     header, data, _ = read_table(args.input)
     if data.shape[0] == 0:
-        raise CsvParseError("line 2: file has a header but no data rows")
+        raise UnusableDataError("file has a header but no data rows")
     if args.column is not None:
         if args.column not in header:
             raise ConfigError(
@@ -441,7 +443,7 @@ def _cmd_fit(args: argparse.Namespace, config: ExperimentConfig, directory: Path
     else:
         value_index = 1
         if len(header) < 2:
-            raise CsvParseError("line 1: need at least two columns")
+            raise UnusableDataError("need at least two columns")
     xs = data[:, 0]
     ys = data[:, value_index]
 

@@ -22,6 +22,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import edited_config
 
 import loopfwm
 from loopfwm.cli import main
@@ -31,31 +32,23 @@ from loopfwm.jsd import simulate_jsd_scan
 from loopfwm.ring import linewidth_ghz
 
 
-def config_dict() -> dict:
-    """The packaged default config with a 151 x 201 JSD grid at 20 pm steps."""
-    config = yaml.safe_load(default_config_text())
-    config["jsd"].update(
-        signal_start_nm=1562.0,
-        signal_stop_nm=1565.0,
-        signal_step_pm=20.0,
-        idler_start_nm=1546.5,
-        idler_stop_nm=1550.5,
-        idler_step_pm=20.0,
-    )
-    return config
-
-
-def fuzz_base_config() -> dict:
-    """The packaged default config with 100 pm JSD steps, a 61 x 61 grid."""
-    config = yaml.safe_load(default_config_text())
-    config["jsd"].update(signal_step_pm=100.0, idler_step_pm=100.0)
-    return config
+# Edits of the packaged default config (see ``edited_config``): a 151 x 201
+# JSD grid at 20 pm steps, and 100 pm JSD steps, a 61 x 61 grid.
+SMALL_JSD = (
+    (("jsd", "signal_start_nm"), 1562.0),
+    (("jsd", "signal_stop_nm"), 1565.0),
+    (("jsd", "signal_step_pm"), 20.0),
+    (("jsd", "idler_start_nm"), 1546.5),
+    (("jsd", "idler_stop_nm"), 1550.5),
+    (("jsd", "idler_step_pm"), 20.0),
+)
+COARSE_JSD = ((("jsd", "signal_step_pm"), 100.0), (("jsd", "idler_step_pm"), 100.0))
 
 
 @pytest.fixture
 def small_config(tmp_path):
     path = tmp_path / "bench.yaml"
-    path.write_text(yaml.safe_dump(config_dict(), sort_keys=False), encoding="utf-8")
+    path.write_text(edited_config(*SMALL_JSD), encoding="utf-8")
     return path
 
 
@@ -183,10 +176,10 @@ class TestLaserCurve:
     def test_failed_fit_writes_nothing(self, tmp_path, capsys):
         # Nothing lases through a 1e300 dB ring, so the threshold fit fails;
         # the curve of zeros computed before it must not be written either.
-        config = config_dict()
-        config["loss_budget"]["ring_insertion_db"] = 1e300
         path = tmp_path / "dark.yaml"
-        path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+        path.write_text(
+            edited_config((("loss_budget", "ring_insertion_db"), 1e300)), encoding="utf-8"
+        )
         out = tmp_path / "run"
         assert main(["laser-curve", "--config", str(path), "--out", str(out)]) == 2
         assert "all points are below threshold" in capsys.readouterr().err
@@ -194,12 +187,13 @@ class TestLaserCurve:
 
     @pytest.mark.parametrize("extra", [[], ["--tpa", "0"]])
     def test_zero_loss_loop_rejected(self, tmp_path, capsys, extra):
-        config = config_dict()
-        config["loss_budget"]["ring_insertion_db"] = 0.0
-        for element in config["loss_budget"]["elements"]:
-            element["loss_db"] = 0.0
+        # The ring and each of the seven elements lossless.
+        lossless = [(("loss_budget", "elements", index, "loss_db"), 0.0) for index in range(7)]
         path = tmp_path / "lossless.yaml"
-        path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+        path.write_text(
+            edited_config((("loss_budget", "ring_insertion_db"), 0.0), *lossless),
+            encoding="utf-8",
+        )
         argv = ["laser-curve", "--config", str(path), "--out", str(tmp_path / "run")]
         assert main(argv + extra) == 2
         assert "loop loss is 0 dB" in capsys.readouterr().err
@@ -263,6 +257,18 @@ class TestFwmSweep:
         code = main(["fwm-sweep", "--out", str(tmp_path / "run"), "--points", "1"])
         assert code == 2
 
+    def test_point_cap(self, tmp_path, capsys, monkeypatch):
+        # Rejected before the power grid is built: uncapped, 10,000,001
+        # points write a 340 MB table.
+        def refuse(*args, **kwargs):
+            raise AssertionError("fwm-sweep built its power grid")
+
+        monkeypatch.setattr(np, "geomspace", refuse)
+        out = tmp_path / "run"
+        assert main(["fwm-sweep", "--out", str(out), "--points", "10000001"]) == 2
+        assert "a sweep needs 2 to 10,000,000 points" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -299,10 +305,11 @@ class TestJsd:
         # Purity and K are integrals over the windows in frequency and the
         # width takes out the step's own share, so no reported number is a
         # grid artifact.  Both steps of the default config halved: 1201^2.
-        config = yaml.safe_load(default_config_text())
-        config["jsd"].update(signal_step_pm=5.0, idler_step_pm=5.0)
         path = tmp_path / "half.yaml"
-        path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+        path.write_text(
+            edited_config((("jsd", "signal_step_pm"), 5.0), (("jsd", "idler_step_pm"), 5.0)),
+            encoding="utf-8",
+        )
         assert main(["jsd", "--config", str(path), "--out", str(tmp_path / "half")]) == 0
         default = report_fields(default_runs["jsd"][2] / "jsd_report.txt")
         halved = report_fields(tmp_path / "half" / "jsd_report.txt")
@@ -324,14 +331,15 @@ class TestJsd:
         # 1e-160 GHz |w| passes 1e154, so |1 + w|^2 overflows, and far cells
         # hold subnormal means.
         for width in (1.0e-9, 1.0e-160):
-            config = yaml.safe_load(default_config_text())
-            config["jsd"].update(
-                pump_linewidth_ghz=width,
-                idler_start_nm=1546.309755020285,
-                idler_stop_nm=1552.309755020285,
-            )
             path = tmp_path / f"edge_{width:g}.yaml"
-            path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+            path.write_text(
+                edited_config(
+                    (("jsd", "pump_linewidth_ghz"), width),
+                    (("jsd", "idler_start_nm"), 1546.309755020285),
+                    (("jsd", "idler_stop_nm"), 1552.309755020285),
+                ),
+                encoding="utf-8",
+            )
             out = tmp_path / f"run_{width:g}"
             assert main(["jsd", "--config", str(path), "--out", str(out)]) == 0, width
             for name in ("jsd_scan.csv", "jsd_report.txt"):
@@ -342,9 +350,10 @@ class TestJsd:
 
     def test_schmidt_number_past_float_range_names_the_key(self, tmp_path, capsys):
         # K is about Gamma/(5 delta): 2.8e308 here, past the largest float.
-        config = fuzz_config_with((("jsd", "pump_linewidth_ghz"), 5e-308))
         path = tmp_path / "narrow.yaml"
-        path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+        path.write_text(
+            edited_config(*COARSE_JSD, (("jsd", "pump_linewidth_ghz"), 5e-308)), encoding="utf-8"
+        )
         assert main(["jsd", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         assert "'jsd.pump_linewidth_ghz'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
@@ -352,9 +361,8 @@ class TestJsd:
     def test_scan_csv_is_the_long_form_table(self, tmp_path):
         # The grid writer must write what write_table writes for the repeated
         # signal axis, the tiled idler axis and the raveled scan.
-        config_path = tmp_path / "fuzz_base.yaml"
-        config_path.write_text(yaml.safe_dump(fuzz_base_config(), sort_keys=False),
-                               encoding="utf-8")
+        config_path = tmp_path / "coarse.yaml"
+        config_path.write_text(edited_config(*COARSE_JSD), encoding="utf-8")
         out = tmp_path / "run"
         assert main(["jsd", "--config", str(config_path), "--out", str(out)]) == 0
         config = parse_config(config_path.read_text(encoding="utf-8"))
@@ -446,6 +454,23 @@ class TestFit:
         code = main(["fit", str(spectrum), "--model", "lorentzian", "--out", str(tmp_path)])
         assert code == 3
         assert "fit failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# a\n# b\nx,y\n", "file has a header but no data rows"),
+            ("# c\n\nx\n1\n2\n", "need at least two columns"),
+        ],
+        ids=["no_data_rows", "one_column"],
+    )
+    def test_unusable_table_exit_code(self, tmp_path, capsys, text, message):
+        # Neither is a malformed line, so the message names none.
+        table = tmp_path / "table.csv"
+        table.write_text(text, encoding="utf-8")
+        code = main(["fit", str(table), "--model", "lasing", "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert capsys.readouterr().err == f"fit failed: {message}\n"
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("port, value", [("idler", 0.5), ("drop", 0.1)])
     def test_featureless_spectrum_exit_code(self, tmp_path, capsys, port, value):
@@ -804,18 +829,6 @@ def key_name(path: tuple) -> str:
     return "".join(f"[{part}]" if isinstance(part, int) else f".{part}" for part in path)[1:]
 
 
-def fuzz_config_with(*edits: tuple) -> dict:
-    """The fuzz base config with the number at each ``(key, value)`` edit's
-    path ``key`` set to ``value``."""
-    config = fuzz_base_config()
-    for key, value in edits:
-        node = config
-        for part in key[:-1]:
-            node = node[part]
-        node[key[-1]] = value
-    return config
-
-
 CONFIG_KEYS = tuple(numeric_keys(yaml.safe_load(default_config_text())))
 CONFIG_EDGES = (0, -1, math.nan, math.inf, -math.inf, 1e300, 1e-300, 1.7e308, 5e-324)
 # Each subcommand, and ``laser-curve`` with the default two-photon loss, a
@@ -826,9 +839,9 @@ CONFIG_COMMANDS = ("ring-spectrum", "laser-curve", "laser-curve --tpa",
 
 
 class TestConfigFuzz:
-    """A fuzz base config with one or two numeric keys set to edge values,
-    run through every subcommand.  The base is the packaged default with
-    100 pm JSD steps, a 61 x 61 grid, so a ``jsd`` run stays quick."""
+    """The packaged default with one or two numeric keys set to edge values,
+    run through every subcommand.  Its JSD steps are 100 pm (``COARSE_JSD``),
+    a 61 x 61 grid, so a ``jsd`` run stays quick."""
 
     def test_every_number_is_a_key(self):
         assert len(CONFIG_KEYS) == 31
@@ -837,9 +850,8 @@ class TestConfigFuzz:
     @pytest.mark.parametrize("key", CONFIG_KEYS, ids=key_name)
     def test_nonfinite_value_names_its_key(self, key, value):
         # Rejected where the value is read, before any model sees it.
-        text = yaml.safe_dump(fuzz_config_with((key, value)), sort_keys=False)
         with pytest.raises(ConfigError, match=re.escape(f"'{key_name(key)}' must be")):
-            parse_config(text)
+            parse_config(edited_config(*COARSE_JSD, (key, value)))
 
     # Pinned inputs whose arithmetic can raise: OverflowError from an
     # infinite JSD axis, a huge resonance, loop loss, signal wavelength or
@@ -902,13 +914,12 @@ class TestConfigFuzz:
 
     @staticmethod
     def run(fit_inputs, command: str, edits: list) -> None:
-        config = fuzz_config_with(*edits)
         argv = command.split()
         if command == "fit":
             argv += [str(fit_inputs / "laser_curve.csv"), "--model", "lasing"]
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "edge.yaml"
-            path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+            path.write_text(edited_config(*COARSE_JSD, *edits), encoding="utf-8")
             run_edge_case(argv + ["--config", str(path)], Path(scratch))
 
 
