@@ -440,6 +440,10 @@ def _cmd_fit(args: argparse.Namespace, config: ExperimentConfig, directory: Path
                 f"column '{args.column}' not in file columns {', '.join(header)}"
             )
         value_index = header.index(args.column)
+        if value_index == 0:
+            raise ConfigError(
+                f"column '{args.column}' is the x axis; --column names a value column"
+            )
     else:
         value_index = 1
         if len(header) < 2:

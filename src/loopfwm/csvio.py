@@ -21,13 +21,22 @@ out-of-range values go to ``%`` too.  The digits are laid out by ``%g``'s
 rules: fixed notation for exponents -4 to 11, else ``d.ddde±XX``, trailing
 zeros cut.  :func:`format_float` formats single values with ``%`` itself,
 and the tests hold the bulk formatter to it.
+
+:func:`read_table` parses ``_READ_LINES`` lines at a time.  Each block's
+data fields go through one ``map(float, ...)`` into a float64 array, so a
+read holds at most one block as Python strings and floats, and its
+allocations peak near twice the array it returns: the blocks and their
+concatenation.  A block that fails to parse is walked again line by line,
+only to name its first malformed line.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import chain, islice, repeat
+from operator import methodcaller
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, NoReturn, TextIO
 
 import numpy as np
 
@@ -37,6 +46,9 @@ _FLOAT_FORMAT = "%.12g"
 
 #: Lines formatted and written per block; bounds a write's working memory.
 _BLOCK_LINES = 1 << 13
+
+#: Lines parsed per block; bounds a read's Python strings and floats.
+_READ_LINES = 1 << 10
 
 # Two powers of ten, each an exact double (10**22 is the largest), whose
 # product is 10**|shift| for shift = -44..44 (index shift + 44).
@@ -269,8 +281,59 @@ def write_grid(
         _write_lines(handle, cells.size, block)
 
 
+def _fields(line: str) -> list[str]:
+    """The fields of one stripped, nonblank line."""
+    # Only a quote makes csv.reader split differently from str.split.
+    return next(csv.reader([line])) if '"' in line else line.split(",")
+
+
+def _block_values(rows: list[str], width: int) -> np.ndarray:
+    """The fields of data ``rows`` as one float64 array, row after row.
+
+    Raises ``ValueError`` (or ``csv.Error``) if any row is malformed, without
+    saying which; :func:`_raise_first_error` finds it.
+    """
+    text = ",".join(rows)
+    if '"' in text:
+        split = list(map(_fields, rows))
+        ragged = set(map(len, split)) != {width}
+        fields = list(chain.from_iterable(split))
+    else:
+        ragged = set(map(methodcaller("count", ","), rows)) != {width - 1}
+        fields = text.split(",")
+    if ragged:
+        raise ValueError("rows of unequal width")
+    return np.fromiter(map(float, fields), dtype=float, count=len(fields))
+
+
+def _raise_first_error(lines: list[str], number: int, header: tuple[str, ...] | None) -> NoReturn:
+    """Walk a block of stripped lines, the first of them line ``number``, and
+    raise the error of its first malformed line, as a line-at-a-time parse
+    with ``header`` already read would."""
+    for number, line in enumerate(lines, start=number):
+        if not line or line.startswith("#"):
+            continue
+        fields = _fields(line)
+        if header is None:
+            header = tuple(field.strip() for field in fields)
+            if any(not name for name in header):
+                raise CsvParseError(f"line {number}: empty column name in header")
+            continue
+        if len(fields) != len(header):
+            raise CsvParseError(f"line {number}: expected {len(header)} fields, got {len(fields)}")
+        try:
+            list(map(float, fields))
+        except ValueError as exc:
+            raise CsvParseError(f"line {number}: {exc}") from exc
+    raise AssertionError("a block that failed to parse holds no malformed line")
+
+
 def read_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:
     """Read a CSV table written by :func:`write_table`.
+
+    The lines are parsed in blocks of ``_READ_LINES``, each converted to
+    float64 at once, so the allocations peak near twice the returned
+    ``data``, however long the file.
 
     Returns
     -------
@@ -284,31 +347,26 @@ def read_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, tuple[str
         Naming the 1-based line number of the first malformed row.
     """
     header: tuple[str, ...] | None = None
-    values: list[float] = []
+    blocks: list[np.ndarray] = []
     comments: list[str] = []
+    first = 1  # the line number of the block's first line
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        for number, line in enumerate(handle, start=1):
-            stripped = line.rstrip("\r\n")
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                comments.append(stripped[1:].strip())
-                continue
-            # Only a quote makes csv.reader split differently from str.split.
-            fields = next(csv.reader([stripped])) if '"' in stripped else stripped.split(",")
-            if header is None:
-                header = tuple(field.strip() for field in fields)
-                if any(not name for name in header):
-                    raise CsvParseError(f"line {number}: empty column name in header")
-                continue
-            if len(fields) != len(header):
-                raise CsvParseError(
-                    f"line {number}: expected {len(header)} fields, got {len(fields)}"
-                )
+        while lines := list(map(str.rstrip, islice(handle, _READ_LINES), repeat("\r\n"))):
+            rows = [line for line in lines if line and line[0] != "#"]
+            if len(rows) < len(lines):
+                comments.extend(line[1:].strip() for line in lines if line[:1] == "#")
+            known = header
             try:
-                values.extend(map(float, fields))
-            except ValueError as exc:
-                raise CsvParseError(f"line {number}: {exc}") from exc
+                if header is None and rows:
+                    header = tuple(field.strip() for field in _fields(rows.pop(0)))
+                    if not all(header):
+                        raise ValueError("empty column name")
+                if rows:
+                    blocks.append(_block_values(rows, len(header)))
+            except (ValueError, csv.Error):
+                _raise_first_error(lines, first, known)
+            first += len(lines)
     if header is None:
         raise CsvParseError("line 1: file has no header row")
-    return header, np.array(values, dtype=float).reshape(-1, len(header)), tuple(comments)
+    data = np.concatenate(blocks) if blocks else np.empty(0)
+    return header, data.reshape(-1, len(header)), tuple(comments)

@@ -154,9 +154,9 @@ def lorentzian_profile(
         return baseline + amplitude / (1.0 + detuning * detuning)
 
 
-def _lorentzian_jacobian(params: np.ndarray, wavelengths: np.ndarray) -> np.ndarray:
+def _lorentzian_jacobian(params: np.ndarray, wavelengths: np.ndarray, jac: np.ndarray) -> None:
+    """Write the profile's N×4 Jacobian at ``params`` into ``jac``."""
     center, fwhm, amplitude, _ = params
-    jac = np.empty((wavelengths.size, 4))
     with np.errstate(over="ignore", invalid="ignore"):
         u = 2.0 * (wavelengths - center) / fwhm
         shape = 1.0 / (1.0 + u * u)
@@ -167,7 +167,6 @@ def _lorentzian_jacobian(params: np.ndarray, wavelengths: np.ndarray) -> np.ndar
     jac[:, 3] = 1.0
     # Past float range the profile is flat at the baseline.
     jac[~np.isfinite(u), :3] = 0.0
-    return jac
 
 
 def _covariance_from_jacobian(jacobian: np.ndarray, residuals: np.ndarray) -> np.ndarray:
@@ -182,18 +181,25 @@ def _covariance_from_jacobian(jacobian: np.ndarray, residuals: np.ndarray) -> np
 
 
 def _levenberg_marquardt(
-    wavelengths: np.ndarray, values: np.ndarray, params: np.ndarray
+    wavelengths: np.ndarray, values: np.ndarray, params: np.ndarray, jacobian: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares Lorentzian parameters from ``params``, and their residuals,
-    by Marquardt's damped step in the columns of J scaled to unit norm (Moré)."""
+    by Marquardt's damped step in the columns of J scaled to unit norm (Moré).
+
+    Every step refills and scales the one N×4 buffer ``jacobian`` in place.
+    """
     residuals = lorentzian_profile(wavelengths, *params) - values
     cost = float(residuals @ residuals)
     damping = 1e-3
     for _ in range(_LM_MAX_STEPS):
-        jacobian = _lorentzian_jacobian(params, wavelengths)
-        scale = np.fmax(np.linalg.norm(jacobian, axis=0), np.finfo(float).tiny)
-        u, s, vt = np.linalg.svd(jacobian / scale, full_matrices=False)
+        _lorentzian_jacobian(params, wavelengths, jacobian)
+        # np.linalg.norm(jacobian, axis=0) bit for bit, with one N×4 temporary, not two.
+        norms = np.sqrt(np.add.reduce(np.square(jacobian), axis=0))
+        scale = np.fmax(norms, np.finfo(float).tiny)
+        jacobian /= scale
+        u, s, vt = np.linalg.svd(jacobian, full_matrices=False)
         projected = u.T @ residuals
+        del u  # the N×4 U, freed before the next step refills the Jacobian
         # No step lowers the linearized cost by more than ‖Uᵀr‖².  Once that is
         # below rounding, a step that raises the cost by rounding alone is taken.
         flat = projected @ projected <= _LM_TOLERANCE * cost
@@ -309,7 +315,8 @@ def fit_lorentzian(
     guess = _initial_lorentzian_guess(wavelengths, values)
     _check_single_resonance(wavelengths, values, *guess)
 
-    params, residuals = _levenberg_marquardt(wavelengths, values, np.array(guess))
+    jacobian = np.empty((wavelengths.size, 4))
+    params, residuals = _levenberg_marquardt(wavelengths, values, np.array(guess), jacobian)
     center, fwhm, amplitude, baseline = params
     fwhm = abs(float(fwhm))
     if fwhm == 0.0:
@@ -320,9 +327,8 @@ def fit_lorentzian(
             f"only {across} samples fall across the fitted linewidth "
             f"({fwhm:.4g} nm); at least {_MIN_POINTS_ACROSS_FWHM} are required"
         )
-    covariance = _covariance_from_jacobian(
-        _lorentzian_jacobian(params, wavelengths), residuals
-    )
+    _lorentzian_jacobian(params, wavelengths, jacobian)
+    covariance = _covariance_from_jacobian(jacobian, residuals)
     sigmas = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
 
     quality = center / fwhm

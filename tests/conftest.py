@@ -6,12 +6,16 @@ changes.  Per-test ``@settings`` (``max_examples``, ``deadline``) and
 ``@example`` pins still apply on top of this profile.
 
 :func:`edited_config` is the one way tests edit the packaged default
-config; test modules import it from here.
+config; test modules import it from here, and :func:`peak_allocation` too.
+The ``noisy_drop`` fixture is the largest table the tests read and fit.
 """
 
 import copy
 import functools
+import tracemalloc
 
+import numpy as np
+import pytest
 import yaml
 from hypothesis import settings
 
@@ -46,3 +50,33 @@ def edited_config(*edits: tuple) -> str:
         else:
             node[last] = value
     return yaml.safe_dump(document, sort_keys=False)
+
+
+@pytest.fixture(scope="session")
+def noisy_drop(tmp_path_factory):
+    """A 60,001-row drop trace at 0.1 pm steps: a Lorentzian dip of Q 2750 at
+    1555.87 nm on a 0.2 baseline, with seeded Gaussian noise of 1% of its
+    depth, every value written as ``%.12g``.  It is the benchmark's noisy
+    trace, generated here so that the tests import nothing from ``bench``."""
+    resonance, amplitude, baseline = 1555.87, 0.6382200814494171, 0.2
+    count = 60001
+    wavelengths = resonance + (np.arange(count) - (count - 1) / 2.0) * 1e-4
+    fwhm = resonance / 2750.0
+    clean = baseline + amplitude / (1.0 + (2.0 * (wavelengths - resonance) / fwhm) ** 2)
+    noise = np.random.default_rng(8).normal(0.0, 0.01 * amplitude, size=count)
+    lines = ["wavelength_nm,drop"] + [
+        f"{x:.12g},{y:.12g}" for x, y in zip(wavelengths, clean + noise)
+    ]
+    path = tmp_path_factory.mktemp("noisy_drop") / "noisy_drop.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def peak_allocation(call):
+    """``call()``'s result and the peak bytes allocated while it ran, as
+    ``tracemalloc`` counts them."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -420,6 +420,38 @@ class TestFit:
         threshold = float(fields["threshold_ma"].split("+/-")[0])
         assert threshold == pytest.approx(90.0, abs=0.1)
 
+    def test_large_trace_report_bytes(self, tmp_path, noisy_drop):
+        out = tmp_path / "run"
+        assert main(["fit", str(noisy_drop), "--model", "lorentzian", "--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("fit_report.txt", "fit_report.csv")
+        }
+        assert digests == {
+            "fit_report.txt": "5871602f220910a6d596ef637e8c978a1521ffa804949d123b44590734e5ccb1",
+            "fit_report.csv": "663b08b86577ddbd5eed55769ea18b9e2007123dd553ea5a8b916c142081d469",
+        }
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("current_mA,drop_power_mw\n60,0\n70,0\n80,0\n90,0\n"
+             "100,0.25\n110,0.5\n120,0.75\n", "current_mA"),
+            ("x\n60\n70\n80\n90\n100\n110\n120\n", "x"),
+        ],
+        ids=["two_columns", "one_column"],
+    )
+    def test_column_naming_the_x_axis_rejected(self, tmp_path, capsys, text, column):
+        # Unchecked, both fit the x column against itself and report a slope of 1.
+        table = tmp_path / "table.csv"
+        table.write_text(text, encoding="utf-8")
+        argv = ["fit", str(table), "--model", "lasing", "--column", column]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: column '{column}' is the x axis; --column names a value column\n"
+        )
+        assert not (tmp_path / "run").exists()
+
     def test_missing_input_file_exit_code(self, tmp_path):
         code = main(
             ["fit", str(tmp_path / "absent.csv"), "--model", "lasing", "--out", str(tmp_path)]

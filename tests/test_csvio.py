@@ -1,12 +1,16 @@
 """Tests for the fixed-dialect CSV layer."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import peak_allocation
 
 from loopfwm.csvio import (
     _BLOCK_LINES,
+    _READ_LINES,
     CsvParseError,
     _cell_fields,
     format_float,
@@ -106,6 +110,81 @@ class TestForeignInput:
         )
         assert np.signbit(data[1, 2])
         assert comments == ("exported", "mid-table note", "")
+
+
+def block_edge_lines(seed: int) -> list[str]:
+    """Lines of a two-column table over three blocks of ``_READ_LINES`` and a
+    remainder, each ending "\\n", "\\r\\n" or "\\r".  The last and first line
+    of each pair of neighbouring blocks are two of: a ``#`` line, a blank line
+    and a quoted row."""
+    rng = np.random.default_rng(seed)
+    shape = (3 * _READ_LINES + 41, 2)
+    values = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(-30, 30, shape)
+    lines = ["# exported\r\n", "x, y \n"]
+    endings = ("\n", "\r\n", "\r")
+    lines += [f"{x!r},{y!r}{endings[i % 3]}" for i, (x, y) in enumerate(values.tolist())]
+    edges = (("# edge\r\n", "\r\n"), ("\n", '"-0", 1.5e-3 \r\n'), ('"inf","2"\n', "#\r\n"))
+    for block, (last, first) in enumerate(edges, start=1):
+        lines[block * _READ_LINES - 1 : block * _READ_LINES + 1] = [last, first]
+        # A row ended by "\r" must not precede a blank line ended by "\n".
+        lines[block * _READ_LINES - 2] = "1,2\n"
+    return lines
+
+
+def line_at_a_time(path):
+    """The reference reader: one line at a time, every row through csv.reader."""
+    header, rows, comments = None, [], []
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        for line in handle:
+            line = line.rstrip("\r\n")
+            if line.startswith("#"):
+                comments.append(line[1:].strip())
+            elif line:
+                fields = next(csv.reader([line]))
+                if header is None:
+                    header = tuple(field.strip() for field in fields)
+                else:
+                    rows.append([float(field) for field in fields])
+    return header, np.array(rows), tuple(comments)
+
+
+class TestBlockParse:
+    def test_block_edges_match_line_at_a_time(self, tmp_path):
+        path = tmp_path / "blocks.csv"
+        lines = block_edge_lines(4)
+        path.write_bytes("".join(lines).encode("utf-8"))
+        header, data, comments = read_table(path)
+        expected = line_at_a_time(path)
+        assert len(lines) > 3 * _READ_LINES
+        assert header == expected[0] == ("x", "y")
+        assert data.shape == expected[1].shape
+        assert data.tobytes() == expected[1].tobytes()
+        assert comments == expected[2] == ("exported", "edge", "")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,2,3", "expected 2 fields, got 3"),
+            ('"1",oops', "could not convert string to float: 'oops'"),
+        ],
+    )
+    @pytest.mark.parametrize("offset", [1, 17], ids=["first_line", "inside"])
+    def test_malformed_row_in_third_block_names_its_line(self, tmp_path, row, message, offset):
+        path = tmp_path / "blocks.csv"
+        lines = block_edge_lines(5)
+        bad = 2 * _READ_LINES + offset
+        lines[bad - 1] = row + "\r\n"
+        lines[bad + 3] = "not,a,row\n"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        with pytest.raises(CsvParseError) as raised:
+            read_table(path)
+        assert str(raised.value) == f"line {bad}: {message}"
+
+    def test_trace_peaks_below_two_and_a_half_arrays(self, noisy_drop):
+        (header, data, _), peak = peak_allocation(lambda: read_table(noisy_drop))
+        assert header == ("wavelength_nm", "drop")
+        assert data.shape == (60001, 2)
+        assert peak <= 2.5 * data.nbytes
 
 
 class TestWriterValidation:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import peak_allocation
 
 from loopfwm import fitting
 from loopfwm.cli import main
@@ -265,6 +266,15 @@ class TestLorentzianFit:
             fit_lorentzian(Spectrum(grid, values, "drop"), (grid[0], grid[-1]))
         assert main(["fit", str(path), "--model", "lorentzian", "--out", str(tmp_path)]) == 3
 
+
+    def test_trace_fit_peaks_below_eight_and_a_half_mb(self, noisy_drop):
+        # The 60,001 x 4 Jacobian is 1.9 MB; one buffer serves every step.
+        _, data, _ = read_table(noisy_drop)
+        spectrum = Spectrum(data[:, 0], data[:, 1], "drop")
+        window = (data[0, 0], data[-1, 0])
+        report, peak = peak_allocation(lambda: fit_lorentzian(spectrum, window))
+        assert report.points_used == 60001
+        assert peak <= 8.5e6
 
 def exact_line(xs, ys, weights) -> tuple[Fraction, Fraction]:
     """Exact weighted least-squares slope and intercept of the given floats."""
