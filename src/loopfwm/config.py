@@ -127,7 +127,9 @@ class _Section:
     def __init__(self, mapping, path: str):
         if not isinstance(mapping, dict):
             raise ConfigError(f"'{path}' must be a key-value section")
-        self.mapping = mapping
+        # A copy: a YAML alias makes two entries one dict, and the pops that
+        # read the first would leave the second empty.
+        self.mapping = dict(mapping)
         self.path = path
         self.prefix = f"{path}." if path else ""
 

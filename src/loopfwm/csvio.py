@@ -26,17 +26,17 @@ and the tests hold the bulk formatter to it.
 data fields go through one ``map(float, ...)`` into a float64 array, so a
 read holds at most one block as Python strings and floats, and its
 allocations peak near twice the array it returns: the blocks and their
-concatenation.  A block that fails to parse is walked again line by line,
-only to name its first malformed line.
+concatenation.  Blank and ``#`` lines are told from data rows once, and each
+row keeps its line number, so a block that fails the bulk parse is walked
+row by row only to name its first malformed row.
 """
 
 from __future__ import annotations
 
 import csv
 from itertools import chain, islice, repeat
-from operator import methodcaller
 from pathlib import Path
-from typing import Callable, NoReturn, TextIO
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -207,17 +207,23 @@ def _packed(fields: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(text[:, : 8 * words]).view("<u8")
 
 
-def _write_lines(
-    handle: TextIO, count: int, block: Callable[[int, int], list[np.ndarray]]
+def _write_file(
+    path: str | Path, header: tuple[str, ...], comments: tuple[str, ...], count: int,
+    block: Callable[[int, int], list[np.ndarray]], trailer_comments: tuple[str, ...] = (),
 ) -> None:
-    """Write ``count`` lines to ``handle``'s byte layer, ``_BLOCK_LINES`` at a
-    time; ``block(start, stop)`` gives the fields of those lines as rows of
-    words, left to right, which make up the lines once their NUL bytes are
-    deleted."""
-    handle.flush()
-    for start in range(0, count, _BLOCK_LINES):
-        lines = np.hstack(block(start, min(start + _BLOCK_LINES, count)))
-        handle.buffer.write(lines.tobytes().translate(None, b"\0"))
+    """Write a table file: ``# `` ``comments``, the header, ``count`` data
+    lines and ``# `` ``trailer_comments``.  The data lines go to the file's
+    byte layer ``_BLOCK_LINES`` at a time; ``block(start, stop)`` gives the
+    fields of those lines as rows of words, left to right, which make up the
+    lines once their NUL bytes are deleted."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(f"# {comment}\n" for comment in comments)
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        handle.flush()
+        for start in range(0, count, _BLOCK_LINES):
+            lines = np.hstack(block(start, min(start + _BLOCK_LINES, count)))
+            handle.buffer.write(lines.tobytes().translate(None, b"\0"))
+        handle.writelines(f"# {comment}\n" for comment in trailer_comments)
 
 
 def write_table(
@@ -239,16 +245,10 @@ def write_table(
     if any(array.ndim != 1 or array.size != length for array in arrays):
         raise ValueError("all columns must be 1-D and equally long")
     separators = [","] * (len(arrays) - 1) + ["\n"]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
-        csv.writer(handle, lineterminator="\n").writerow(header)
-        _write_lines(handle, length, lambda start, stop: [
-            _cell_fields(array[start:stop], separator)
-            for array, separator in zip(arrays, separators)
-        ])
-        for comment in trailer_comments:
-            handle.write(f"# {comment}\n")
+    _write_file(path, header, comments, length, lambda start, stop: [
+        _cell_fields(array[start:stop], separator)
+        for array, separator in zip(arrays, separators)
+    ], trailer_comments)
 
 
 def write_grid(
@@ -275,10 +275,7 @@ def write_grid(
         return [rows.take(row, axis=0), columns.take(column, axis=0),
                 _cell_fields(cells[start:stop], "\n")]
 
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(f"# {comment}\n" for comment in comments)
-        csv.writer(handle, lineterminator="\n").writerow(header)
-        _write_lines(handle, cells.size, block)
+    _write_file(path, header, comments, cells.size, block)
 
 
 def _fields(line: str) -> list[str]:
@@ -287,45 +284,32 @@ def _fields(line: str) -> list[str]:
     return next(csv.reader([line])) if '"' in line else line.split(",")
 
 
-def _block_values(rows: list[str], width: int) -> np.ndarray:
-    """The fields of data ``rows`` as one float64 array, row after row.
-
-    Raises ``ValueError`` (or ``csv.Error``) if any row is malformed, without
-    saying which; :func:`_raise_first_error` finds it.
-    """
+def _block_values(rows: list[str], numbers: Sequence[int], width: int) -> np.ndarray:
+    """The fields of data ``rows``, lines ``numbers`` of the file, as one
+    float64 array, row after row.  Raises :class:`CsvParseError` naming the
+    first row, in file order, without ``width`` fields or with a non-float."""
     text = ",".join(rows)
-    if '"' in text:
-        split = list(map(_fields, rows))
-        ragged = set(map(len, split)) != {width}
-        fields = list(chain.from_iterable(split))
-    else:
-        ragged = set(map(methodcaller("count", ","), rows)) != {width - 1}
-        fields = text.split(",")
-    if ragged:
-        raise ValueError("rows of unequal width")
-    return np.fromiter(map(float, fields), dtype=float, count=len(fields))
-
-
-def _raise_first_error(lines: list[str], number: int, header: tuple[str, ...] | None) -> NoReturn:
-    """Walk a block of stripped lines, the first of them line ``number``, and
-    raise the error of its first malformed line, as a line-at-a-time parse
-    with ``header`` already read would."""
-    for number, line in enumerate(lines, start=number):
-        if not line or line.startswith("#"):
-            continue
-        fields = _fields(line)
-        if header is None:
-            header = tuple(field.strip() for field in fields)
-            if any(not name for name in header):
-                raise CsvParseError(f"line {number}: empty column name in header")
-            continue
-        if len(fields) != len(header):
-            raise CsvParseError(f"line {number}: expected {len(header)} fields, got {len(fields)}")
+    try:
+        if '"' in text:
+            split = list(map(_fields, rows))
+            even = set(map(len, split)) == {width}
+            fields = chain.from_iterable(split)
+        else:
+            even = set(map(str.count, rows, repeat(","))) == {width - 1}
+            fields = text.split(",")
+        if even:
+            return np.fromiter(map(float, fields), dtype=float, count=len(rows) * width)
+    except (ValueError, csv.Error):
+        pass
+    for number, row in zip(numbers, rows):
+        fields = _fields(row)
+        if len(fields) != width:
+            raise CsvParseError(f"line {number}: expected {width} fields, got {len(fields)}")
         try:
             list(map(float, fields))
         except ValueError as exc:
             raise CsvParseError(f"line {number}: {exc}") from exc
-    raise AssertionError("a block that failed to parse holds no malformed line")
+    raise AssertionError("a block that failed to parse holds no malformed row")
 
 
 def read_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:
@@ -333,7 +317,7 @@ def read_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, tuple[str
 
     The lines are parsed in blocks of ``_READ_LINES``, each converted to
     float64 at once, so the allocations peak near twice the returned
-    ``data``, however long the file.
+    ``data``, however long the file.  A UTF-8 byte-order mark is dropped.
 
     Returns
     -------
@@ -344,27 +328,30 @@ def read_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, tuple[str
     Raises
     ------
     CsvParseError
-        Naming the 1-based line number of the first malformed row.
+        Naming the 1-based line number of the first malformed row: a header
+        with an empty name, or a data row whose width or floats are wrong.
     """
     header: tuple[str, ...] | None = None
     blocks: list[np.ndarray] = []
     comments: list[str] = []
     first = 1  # the line number of the block's first line
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         while lines := list(map(str.rstrip, islice(handle, _READ_LINES), repeat("\r\n"))):
-            rows = [line for line in lines if line and line[0] != "#"]
-            if len(rows) < len(lines):
+            # Data rows are the lines that are neither blank nor comments.
+            numbers = [n for n, line in enumerate(lines, first) if line and line[0] != "#"]
+            rows = lines
+            if len(numbers) < len(lines):
                 comments.extend(line[1:].strip() for line in lines if line[:1] == "#")
-            known = header
-            try:
-                if header is None and rows:
-                    header = tuple(field.strip() for field in _fields(rows.pop(0)))
-                    if not all(header):
-                        raise ValueError("empty column name")
-                if rows:
-                    blocks.append(_block_values(rows, len(header)))
-            except (ValueError, csv.Error):
-                _raise_first_error(lines, first, known)
+                rows = [lines[number - first] for number in numbers]
+            else:  # rows only: a range, so no list of ints outlives the block
+                numbers = range(first, first + len(lines))
+            if header is None and rows:
+                header = tuple(field.strip() for field in _fields(rows[0]))
+                if not all(header):
+                    raise CsvParseError(f"line {numbers[0]}: empty column name in header")
+                rows, numbers = rows[1:], numbers[1:]
+            if rows:
+                blocks.append(_block_values(rows, numbers, len(header)))
             first += len(lines)
     if header is None:
         raise CsvParseError("line 1: file has no header row")

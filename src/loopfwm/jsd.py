@@ -472,7 +472,9 @@ def schmidt_purity(
 
     nodes, weights = _gauss_legendre(_GAUSS_NODES)
     breakpoints = _breakpoints(((0.0, 1.0), (r, h), (r - x_lo, d), (r - x_hi, d)), y_lo, y_hi)
-    y, y_weights = _panels(np.unique(breakpoints), nodes, weights)
+    # Repeated edges make empty panels, which _panels drops: np.unique would
+    # import numpy.ma.
+    y, y_weights = _panels(np.sort(breakpoints), nodes, weights)
     psi_y = psi(y - r)
     outer = y_weights / (1.0 + y * y)
     outer_diagonal = outer * psi_y.imag

@@ -994,8 +994,8 @@ def modules_loaded(code: str, package: str) -> list[str]:
 
 
 class TestImportCost:
-    """Every subcommand runs on numpy and PyYAML: none loads scipy, and the
-    CLI does not load numpy.polynomial."""
+    """Every subcommand runs on numpy and PyYAML: none loads scipy or
+    numpy.ma, and the CLI does not load numpy.polynomial."""
 
     def test_cli_import_loads_no_scipy(self):
         assert modules_loaded("import loopfwm.cli", "scipy") == []
@@ -1013,17 +1013,30 @@ class TestImportCost:
         )
         assert modules_loaded(code, "scipy") == []
 
-    def test_commands_load_no_scipy(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def command_modules(self, tmp_path_factory):
+        """The modules loaded by running every default command in one process."""
+        tmp_path = tmp_path_factory.mktemp("commands")
         out = str(tmp_path)
         drop, curve = str(tmp_path / "drop.csv"), str(tmp_path / "laser_curve.csv")
         commands = [
             ["ring-spectrum"],
+            ["laser-curve"],
             ["laser-curve", "--tpa"],
             ["fwm-sweep"],
+            ["jsd"],
             ["fit", drop, "--model", "lorentzian"],
             ["fit", curve, "--model", "lasing"],
         ]
         code = "from loopfwm.cli import main\n" + "".join(
             f"assert main({command + ['--out', out]!r}) == 0\n" for command in commands
         )
-        assert modules_loaded(code, "scipy") == []
+        return modules_loaded(code, "")
+
+    def test_commands_load_no_scipy(self, command_modules):
+        assert [name for name in command_modules if name.startswith("scipy")] == []
+
+    def test_commands_load_no_numpy_ma(self, command_modules):
+        # numpy.ma costs 11-22 ms per process.  The exact name is checked, as
+        # numpy always loads numpy.matrixlib.
+        assert "numpy.ma" not in command_modules

@@ -1,5 +1,7 @@
 """Tests for strict configuration parsing."""
 
+from dataclasses import replace
+
 import pytest
 from conftest import DELETE, edited_config
 
@@ -441,6 +443,16 @@ class TestAlternativeForms:
     def test_explicit_coupling_amplitudes(self):
         config = parse_config(edited_config(*NO_TARGETS, *AMPLITUDES))
         assert config.coupling.through_amplitude == 0.91
+
+    def test_aliased_list_entry(self):
+        first = "    - name: bandpass filter (pre-ring)\n      loss_db: 3.5\n"
+        last = "    - name: bandpass filter (post-ring)\n      loss_db: 3.5\n"
+        text = default_config_text()
+        assert first in text and last in text
+        anchor = "    - &bp {name: bandpass filter (pre-ring), loss_db: 3.5}\n"
+        config = parse_config(text.replace(first, anchor).replace(last, "    - *bp\n"))
+        expected = parse_config(text.replace(last, first))
+        assert replace(config, source_text=expected.source_text) == expected
 
 
 class TestModuleInvariantsAtLoad:

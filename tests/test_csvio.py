@@ -111,6 +111,18 @@ class TestForeignInput:
         assert np.signbit(data[1, 2])
         assert comments == ("exported", "mid-table note", "")
 
+    @pytest.mark.parametrize("comments", [(), ("exported",)], ids=["header_first", "comment_first"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, comments):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        columns = (np.array([1555.8, 1555.9]), np.array([0.25, 0.5]))
+        write_table(plain, ("wavelength_nm", "drop"), columns, comments, ("fit below",))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        header, data, read_comments = read_table(marked)
+        expected = read_table(plain)
+        assert header == expected[0] == ("wavelength_nm", "drop")
+        assert data.tobytes() == expected[1].tobytes()
+        assert read_comments == expected[2]
+
 
 def block_edge_lines(seed: int) -> list[str]:
     """Lines of a two-column table over three blocks of ``_READ_LINES`` and a
@@ -179,6 +191,22 @@ class TestBlockParse:
         with pytest.raises(CsvParseError) as raised:
             read_table(path)
         assert str(raised.value) == f"line {bad}: {message}"
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ("x,,y\n1,2,3\n", "line 1025: empty column name in header"),
+            ('x,y\n1,2\n"3",4\n5,6,7\n8,oops\n', "line 1028: expected 2 fields, got 3"),
+        ],
+        ids=["empty_name", "malformed_row"],
+    )
+    def test_header_in_second_block(self, tmp_path, table, message):
+        path = tmp_path / "late_header.csv"
+        preamble = "".join("# preamble\n" if i % 2 else "\n" for i in range(_READ_LINES))
+        path.write_text(preamble + table, encoding="utf-8")
+        with pytest.raises(CsvParseError) as raised:
+            read_table(path)
+        assert str(raised.value) == message
 
     def test_trace_peaks_below_two_and_a_half_arrays(self, noisy_drop):
         (header, data, _), peak = peak_allocation(lambda: read_table(noisy_drop))
