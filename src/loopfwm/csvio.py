@@ -28,7 +28,8 @@ read holds at most one block as Python strings and floats, and its
 allocations peak near twice the array it returns: the blocks and their
 concatenation.  Blank and ``#`` lines are told from data rows once, and each
 row keeps its line number, so a block that fails the bulk parse is walked
-row by row only to name its first malformed row.
+row by row only to name its first malformed row.  Bytes that are not UTF-8
+are decoded as lone surrogates, so they too are named by their line.
 """
 
 from __future__ import annotations
@@ -278,10 +279,26 @@ def write_grid(
     _write_file(path, header, comments, cells.size, block)
 
 
-def _fields(line: str) -> list[str]:
-    """The fields of one stripped, nonblank line."""
+def _fields(line: str, number: int) -> list[str]:
+    """The fields of one stripped, nonblank line, line ``number`` of the file."""
     # Only a quote makes csv.reader split differently from str.split.
-    return next(csv.reader([line])) if '"' in line else line.split(",")
+    if '"' not in line:
+        return line.split(",")
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:  # a quoted field over csv.field_size_limit()
+        raise CsvParseError(f"line {number}: {exc}") from exc
+
+
+def _check_utf8(lines: list[str], first: int) -> None:
+    """Raise :class:`CsvParseError` naming the first of ``lines``, numbered
+    from ``first``, that holds bytes which are not UTF-8: the lone surrogates
+    that ``surrogateescape`` decodes them to."""
+    for number, line in enumerate(lines, first):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CsvParseError(f"line {number}: {exc}") from exc
 
 
 def _block_values(rows: list[str], numbers: Sequence[int], width: int) -> np.ndarray:
@@ -291,7 +308,7 @@ def _block_values(rows: list[str], numbers: Sequence[int], width: int) -> np.nda
     text = ",".join(rows)
     try:
         if '"' in text:
-            split = list(map(_fields, rows))
+            split = list(map(_fields, rows, numbers))
             even = set(map(len, split)) == {width}
             fields = chain.from_iterable(split)
         else:
@@ -299,10 +316,10 @@ def _block_values(rows: list[str], numbers: Sequence[int], width: int) -> np.nda
             fields = text.split(",")
         if even:
             return np.fromiter(map(float, fields), dtype=float, count=len(rows) * width)
-    except (ValueError, csv.Error):
+    except ValueError:
         pass
     for number, row in zip(numbers, rows):
-        fields = _fields(row)
+        fields = _fields(row, number)
         if len(fields) != width:
             raise CsvParseError(f"line {number}: expected {width} fields, got {len(fields)}")
         try:
@@ -329,14 +346,19 @@ def read_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, tuple[str
     ------
     CsvParseError
         Naming the 1-based line number of the first malformed row: a header
-        with an empty name, or a data row whose width or floats are wrong.
+        with an empty name, a quoted field longer than
+        ``csv.field_size_limit()``, or a data row whose width or floats are
+        wrong.  Bytes that are not UTF-8 are looked for first in each block,
+        and name the first line that holds them.
     """
     header: tuple[str, ...] | None = None
     blocks: list[np.ndarray] = []
     comments: list[str] = []
     first = 1  # the line number of the block's first line
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
         while lines := list(map(str.rstrip, islice(handle, _READ_LINES), repeat("\r\n"))):
+            if not "".join(lines).isascii():
+                _check_utf8(lines, first)
             # Data rows are the lines that are neither blank nor comments.
             numbers = [n for n, line in enumerate(lines, first) if line and line[0] != "#"]
             rows = lines
@@ -346,7 +368,7 @@ def read_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, tuple[str
             else:  # rows only: a range, so no list of ints outlives the block
                 numbers = range(first, first + len(lines))
             if header is None and rows:
-                header = tuple(field.strip() for field in _fields(rows[0]))
+                header = tuple(field.strip() for field in _fields(rows[0], numbers[0]))
                 if not all(header):
                     raise CsvParseError(f"line {numbers[0]}: empty column name in header")
                 rows, numbers = rows[1:], numbers[1:]

@@ -2,9 +2,10 @@
 
 The module provides three fitters:
 
-* :func:`fit_lorentzian` — a Lorentzian-plus-baseline resonance fit, by a
-  numpy Levenberg–Marquardt, of the center, linewidth, and quality factor
-  of a sampled port spectrum.
+* :func:`fit_lorentzian` — a Lorentzian-plus-baseline resonance fit of the
+  center, linewidth, and quality factor of a sampled port spectrum, by a
+  Levenberg–Marquardt whose damped step solves the 4×4 normal equations
+  JᵀJ, scaled to unit diagonal, through one eigen-decomposition.
 * :func:`fit_lasing_curve` — a linear fit of output power versus drive
   current with iterative hinge detection, so below-threshold points are
   excluded automatically and the threshold current is reported as the
@@ -17,7 +18,8 @@ All fitters are deterministic: initial guesses are derived from the data
 by fixed rules (extremum position, half-depth crossings, window-edge
 baseline) rather than random restarts, and ties are broken toward the
 smallest wavelength.  Parameter uncertainties come from the linearized
-covariance at the optimum, scaled by the reduced chi-square.
+covariance at the optimum, scaled by the reduced chi-square; the Lorentzian
+fit takes it from the same eigen-decomposition of JᵀJ there.
 """
 
 from __future__ import annotations
@@ -154,74 +156,80 @@ def lorentzian_profile(
         return baseline + amplitude / (1.0 + detuning * detuning)
 
 
-def _lorentzian_jacobian(params: np.ndarray, wavelengths: np.ndarray, jac: np.ndarray) -> None:
-    """Write the profile's N×4 Jacobian at ``params`` into ``jac``."""
+def _normal_equations(
+    params: np.ndarray, wavelengths: np.ndarray, residuals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """JᵀJ and Jᵀr of the profile's Jacobian at ``params``, summed over its 4×N
+    columns by ``np.einsum``'s own loops: no BLAS call runs over the N points."""
     center, fwhm, amplitude, _ = params
+    columns = np.empty((4, wavelengths.size))
     with np.errstate(over="ignore", invalid="ignore"):
         u = 2.0 * (wavelengths - center) / fwhm
         shape = 1.0 / (1.0 + u * u)
         shape2 = shape * shape
-        jac[:, 0] = amplitude * shape2 * 4.0 * u / fwhm
-        jac[:, 1] = amplitude * shape2 * 2.0 * u * u / fwhm
-    jac[:, 2] = shape
-    jac[:, 3] = 1.0
+        columns[0] = amplitude * shape2 * 4.0 * u / fwhm
+        columns[1] = amplitude * shape2 * 2.0 * u * u / fwhm
+    columns[2] = shape
+    columns[3] = 1.0
     # Past float range the profile is flat at the baseline.
-    jac[~np.isfinite(u), :3] = 0.0
+    columns[:3, ~np.isfinite(u)] = 0.0
+    return np.einsum("in,jn->ij", columns, columns), np.einsum("in,n->i", columns, residuals)
 
 
-def _covariance_from_jacobian(jacobian: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    """Linearized covariance at the optimum, scaled by reduced chi-square."""
-    _, singulars, vt = np.linalg.svd(jacobian, full_matrices=False)
-    cutoff = np.finfo(float).eps * max(jacobian.shape) * singulars[0]
-    kept = singulars > cutoff
-    unit_cov = (vt[kept].T * (1.0 / np.square(singulars[kept]))) @ vt[kept]
-    dof = residuals.size - jacobian.shape[1]
-    scale = float(residuals @ residuals) / dof if dof > 0 else 0.0
-    return unit_cov * scale
+def _scaled_eigen(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J's column norms ``sqrt(diag(JᵀJ))`` (Moré) and the eigenpairs of JᵀJ
+    scaled by them to unit diagonal, less any eigenvalue under ``4·eps·λ_max``:
+    ``eigh``'s rounding error on a 4×4, so it cannot be told from zero."""
+    # A zero column keeps scale tiny; dividing twice avoids 0/tiny² = nan.
+    scale = np.fmax(np.sqrt(np.diag(gram)), np.finfo(float).tiny)
+    eigenvalues, vectors = np.linalg.eigh(gram / scale / scale[:, None])
+    kept = eigenvalues > 4.0 * np.finfo(float).eps * eigenvalues[-1]
+    return scale, eigenvalues[kept], vectors[:, kept]
+
+
+def _unit_covariance(gram: np.ndarray) -> np.ndarray:
+    """The pseudo-inverse of JᵀJ over the eigenpairs :func:`_scaled_eigen`
+    keeps, so a parameter the model ignores gets variance 0."""
+    scale, eigenvalues, vectors = _scaled_eigen(gram)
+    return (vectors / eigenvalues) @ vectors.T / scale / scale[:, None]
 
 
 def _levenberg_marquardt(
-    wavelengths: np.ndarray, values: np.ndarray, params: np.ndarray, jacobian: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares Lorentzian parameters from ``params``, and their residuals,
-    by Marquardt's damped step in the columns of J scaled to unit norm (Moré).
-
-    Every step refills and scales the one N×4 buffer ``jacobian`` in place.
-    """
+    wavelengths: np.ndarray, values: np.ndarray, params: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Least-squares Lorentzian parameters from ``params``, their residuals and
+    cost, by Marquardt's damped step ``−V·(Vᵀg)/(λ + μ)`` on the scaled normal
+    equations ``V·diag(λ)·Vᵀ`` and gradient g of :func:`_scaled_eigen` (Moré)."""
     residuals = lorentzian_profile(wavelengths, *params) - values
-    cost = float(residuals @ residuals)
+    cost = float(np.einsum("n,n->", residuals, residuals))
     damping = 1e-3
     for _ in range(_LM_MAX_STEPS):
-        _lorentzian_jacobian(params, wavelengths, jacobian)
-        # np.linalg.norm(jacobian, axis=0) bit for bit, with one N×4 temporary, not two.
-        norms = np.sqrt(np.add.reduce(np.square(jacobian), axis=0))
-        scale = np.fmax(norms, np.finfo(float).tiny)
-        jacobian /= scale
-        u, s, vt = np.linalg.svd(jacobian, full_matrices=False)
-        projected = u.T @ residuals
-        del u  # the N×4 U, freed before the next step refills the Jacobian
-        # No step lowers the linearized cost by more than ‖Uᵀr‖².  Once that is
-        # below rounding, a step that raises the cost by rounding alone is taken.
-        flat = projected @ projected <= _LM_TOLERANCE * cost
-        step = -vt.T @ (s * projected / (s * s + damping))
+        gram, gradient = _normal_equations(params, wavelengths, residuals)
+        scale, eigenvalues, vectors = _scaled_eigen(gram)
+        projected = vectors.T @ (gradient / scale)
+        # No step lowers the linearized cost by more than ‖Uᵀr‖² = Σ(Vᵀg)²/λ.  Once that
+        # is below rounding, a step that raises the cost by rounding alone is taken.
+        flat = projected @ (projected / eigenvalues) <= _LM_TOLERANCE * cost
+        step = -vectors @ (projected / (eigenvalues + damping))
         trial = params + step / scale
         with np.errstate(over="ignore", invalid="ignore"):
             trial_residuals = lorentzian_profile(wavelengths, *trial) - values
-            trial_cost = float(trial_residuals @ trial_residuals)
+            trial_cost = float(np.einsum("n,n->", trial_residuals, trial_residuals))
         short = np.linalg.norm(step) <= _LM_TOLERANCE * np.linalg.norm(params * scale)
         taken = trial_cost < cost * (1.0 + _LM_TOLERANCE) if flat else trial_cost < cost
         damping *= 0.1 if taken else 10.0
         if taken or short:
             params, residuals, cost = trial, trial_residuals, trial_cost
             if short:
-                return params, residuals
+                return params, residuals, cost
     raise FitConvergenceError(f"Lorentzian fit did not converge in {_LM_MAX_STEPS} steps")
 
 
 def _initial_lorentzian_guess(
     wavelengths: np.ndarray, values: np.ndarray
 ) -> tuple[float, float, float, float]:
-    """Deterministic starting point: edge baseline, extremum, half crossings."""
+    """Deterministic starting point: edge baseline, extremum, half crossings.
+    Raises ValueError if the window holds more than one resonance."""
     n_edge = max(1, round(0.1 * wavelengths.size))
     baseline = 0.5 * (float(values[:n_edge].mean()) + float(values[-n_edge:].mean()))
     deviation = values - baseline
@@ -244,24 +252,13 @@ def _initial_lorentzian_guess(
     fwhm = right - left
     if not (np.isfinite(fwhm) and fwhm > 0.0):
         fwhm = 5.0 * float(np.median(np.diff(wavelengths)))
-    return center, fwhm, amplitude, baseline
-
-
-def _check_single_resonance(
-    wavelengths: np.ndarray,
-    values: np.ndarray,
-    center: float,
-    fwhm: float,
-    amplitude: float,
-    baseline: float,
-) -> None:
-    deviation = np.abs(values - baseline)
     outside = np.abs(wavelengths - center) > _ISOLATION_HALFWIDTHS * fwhm
-    if np.any(deviation[outside] >= _ISOLATION_FRACTION * abs(amplitude)):
+    if np.any(magnitude[outside] >= _ISOLATION_FRACTION * abs(amplitude)):
         raise ValueError(
             "fit window holds more than one resonance-scale feature; "
             "narrow the window to isolate a single line"
         )
+    return center, fwhm, amplitude, baseline
 
 
 def fit_lorentzian(
@@ -313,10 +310,8 @@ def fit_lorentzian(
     value_exp = math.frexp(float(np.max(np.abs(values))))[1] - 1
     values = np.ldexp(values, -value_exp)
     guess = _initial_lorentzian_guess(wavelengths, values)
-    _check_single_resonance(wavelengths, values, *guess)
 
-    jacobian = np.empty((wavelengths.size, 4))
-    params, residuals = _levenberg_marquardt(wavelengths, values, np.array(guess), jacobian)
+    params, residuals, cost = _levenberg_marquardt(wavelengths, values, np.array(guess))
     center, fwhm, amplitude, baseline = params
     fwhm = abs(float(fwhm))
     if fwhm == 0.0:
@@ -327,8 +322,8 @@ def fit_lorentzian(
             f"only {across} samples fall across the fitted linewidth "
             f"({fwhm:.4g} nm); at least {_MIN_POINTS_ACROSS_FWHM} are required"
         )
-    _lorentzian_jacobian(params, wavelengths, jacobian)
-    covariance = _covariance_from_jacobian(jacobian, residuals)
+    gram, _ = _normal_equations(params, wavelengths, residuals)
+    covariance = _unit_covariance(gram) * (cost / (residuals.size - 4))
     sigmas = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
 
     quality = center / fwhm

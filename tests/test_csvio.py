@@ -74,6 +74,22 @@ class TestMalformedInput:
         with pytest.raises(CsvParseError, match="line 3"):
             read_table(path)
 
+    def test_field_over_csv_limit_names_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text('x,y\n1.0,2.0\n"' + "1" * 131073 + '",2.0\n', encoding="utf-8")
+        with pytest.raises(CsvParseError) as caught:
+            read_table(path)
+        assert str(caught.value) == "line 3: field larger than field limit (131072)"
+
+    def test_latin1_header_names_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("# exported\nwavelength_nm,drop µW\n1.0,0.5\n".encode("latin-1"))
+        with pytest.raises(CsvParseError) as caught:
+            read_table(path)
+        assert str(caught.value) == (
+            "line 2: 'utf-8' codec can't decode byte 0xb5 in position 19: invalid start byte"
+        )
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
