@@ -303,6 +303,12 @@ def _cmd_ring_spectrum(args: argparse.Namespace, config: ExperimentConfig, direc
     )
 
 
+def _check_cutoff(cutoff_ma: float | None) -> None:
+    """Reject a ``--cutoff-ma`` that is not finite; ``None`` is no cutoff."""
+    if cutoff_ma is not None and not math.isfinite(cutoff_ma):
+        raise ConfigError(f"--cutoff-ma must be finite, got {cutoff_ma}")
+
+
 def _cmd_laser_curve(args: argparse.Namespace, config: ExperimentConfig, directory: Path) -> Run:
     if not args.stop_ma > args.start_ma:
         raise ConfigError(
@@ -310,6 +316,7 @@ def _cmd_laser_curve(args: argparse.Namespace, config: ExperimentConfig, directo
         )
     if args.step_ma <= 0.0:
         raise ConfigError(f"current step must be positive, got {args.step_ma}")
+    _check_cutoff(args.cutoff_ma)
     currents = range_grid(args.start_ma, args.stop_ma, args.step_ma)
 
     if args.tpa is None:
@@ -431,7 +438,18 @@ def _cmd_jsd(args: argparse.Namespace, config: ExperimentConfig, directory: Path
 
 
 def _cmd_fit(args: argparse.Namespace, config: ExperimentConfig, directory: Path) -> Run:
-    header, data, _ = read_table(args.input)
+    if args.model == "lasing" and args.window_nm is not None:
+        raise ConfigError("--window-nm applies only to --model lorentzian")
+    if args.model == "lorentzian" and args.cutoff_ma is not None:
+        raise ConfigError("--cutoff-ma applies only to --model lasing")
+    if args.window_nm is not None and not (
+        -math.inf < args.window_nm[0] < args.window_nm[1] < math.inf
+    ):
+        raise ConfigError(
+            f"--window-nm must satisfy start < stop, both finite, got {args.window_nm}"
+        )
+    _check_cutoff(args.cutoff_ma)
+    header, data = read_table(args.input)
     if data.shape[0] == 0:
         raise UnusableDataError("file has a header but no data rows")
     if args.column is not None:

@@ -22,22 +22,19 @@ rules: fixed notation for exponents -4 to 11, else ``d.ddde±XX``, trailing
 zeros cut.  :func:`format_float` formats single values with ``%`` itself,
 and the tests hold the bulk formatter to it.
 
-:func:`read_table` parses ``_READ_LINES`` lines at a time.  Each block's
-data fields go through one ``map(float, ...)`` into a float64 array, so a
-read holds at most one block as Python strings and floats, and its
-allocations peak near twice the array it returns: the blocks and their
-concatenation.  Blank and ``#`` lines are told from data rows once, and each
-row keeps its line number, so a block that fails the bulk parse is walked
-row by row only to name its first malformed row.  Bytes that are not UTF-8
-are decoded as lone surrogates, so they too are named by their line.
+:func:`read_table` splits the header with ``csv.reader`` and hands every
+later line to one ``np.loadtxt`` call, numpy's C parser, so ``#`` starts a
+comment anywhere outside quotes and a read allocates little beyond the array
+it returns.  Only a read that fails walks the file again, line by line, to
+name the first line that breaks that one grammar.
 """
 
 from __future__ import annotations
 
 import csv
-from itertools import chain, islice, repeat
+import warnings
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -47,9 +44,6 @@ _FLOAT_FORMAT = "%.12g"
 
 #: Lines formatted and written per block; bounds a write's working memory.
 _BLOCK_LINES = 1 << 13
-
-#: Lines parsed per block; bounds a read's Python strings and floats.
-_READ_LINES = 1 << 10
 
 # Two powers of ten, each an exact double (10**22 is the largest), whose
 # product is 10**|shift| for shift = -44..44 (index shift + 44).
@@ -279,103 +273,75 @@ def write_grid(
     _write_file(path, header, comments, cells.size, block)
 
 
-def _fields(line: str, number: int) -> list[str]:
-    """The fields of one stripped, nonblank line, line ``number`` of the file."""
-    # Only a quote makes csv.reader split differently from str.split.
-    if '"' not in line:
-        return line.split(",")
-    try:
-        return next(csv.reader([line]))
-    except csv.Error as exc:  # a quoted field over csv.field_size_limit()
-        raise CsvParseError(f"line {number}: {exc}") from exc
+def _names(line: str) -> tuple[str, ...]:
+    """The column names on a header line: its ``csv.reader`` fields, stripped."""
+    return tuple(field.strip() for field in next(csv.reader([line])))
 
 
-def _check_utf8(lines: list[str], first: int) -> None:
-    """Raise :class:`CsvParseError` naming the first of ``lines``, numbered
-    from ``first``, that holds bytes which are not UTF-8: the lone surrogates
-    that ``surrogateescape`` decodes them to."""
-    for number, line in enumerate(lines, first):
-        try:
-            line.encode("utf-8", "surrogateescape").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CsvParseError(f"line {number}: {exc}") from exc
+def _rows(lines: Iterable[str]) -> np.ndarray:
+    """The data rows among ``lines`` as a 2-D float64 array, parsed by
+    numpy; blank lines and ``#`` comments give no row."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, delimiter=",", quotechar='"', comments="#", ndmin=2)
 
 
-def _block_values(rows: list[str], numbers: Sequence[int], width: int) -> np.ndarray:
-    """The fields of data ``rows``, lines ``numbers`` of the file, as one
-    float64 array, row after row.  Raises :class:`CsvParseError` naming the
-    first row, in file order, without ``width`` fields or with a non-float."""
-    text = ",".join(rows)
-    try:
-        if '"' in text:
-            split = list(map(_fields, rows, numbers))
-            even = set(map(len, split)) == {width}
-            fields = chain.from_iterable(split)
-        else:
-            even = set(map(str.count, rows, repeat(","))) == {width - 1}
-            fields = text.split(",")
-        if even:
-            return np.fromiter(map(float, fields), dtype=float, count=len(rows) * width)
-    except ValueError:
-        pass
-    for number, row in zip(numbers, rows):
-        fields = _fields(row, number)
-        if len(fields) != width:
-            raise CsvParseError(f"line {number}: expected {width} fields, got {len(fields)}")
-        try:
-            list(map(float, fields))
-        except ValueError as exc:
-            raise CsvParseError(f"line {number}: {exc}") from exc
-    raise AssertionError("a block that failed to parse holds no malformed row")
+def _first_fault(path: str | Path, cause: str) -> CsvParseError:
+    """The error naming the first line of ``path``, in file order, that breaks
+    the grammar of :func:`read_table`.  ``cause``, the failed read's message,
+    is kept for a fault that no single line shows: a quoted field spanning
+    lines."""
+    width = 0  # the header's, once it is read
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, 1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+                if width:
+                    row = _rows([line])
+                    if row.size and row.shape[1] != width:
+                        raise ValueError(f"expected {width} fields, got {row.shape[1]}")
+                elif line[:1] not in ("\n", "#"):
+                    header = _names(line)
+                    if not all(header):
+                        raise ValueError("empty column name in header")
+                    width = len(header)
+            except (ValueError, csv.Error) as exc:
+                return CsvParseError(f"line {number}: {exc}")
+    return CsvParseError(cause if width else "line 1: file has no header row")
 
 
-def read_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:
-    """Read a CSV table written by :func:`write_table`.
+def read_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a CSV table written by :func:`write_table`, or one like it.
 
-    The lines are parsed in blocks of ``_READ_LINES``, each converted to
-    float64 at once, so the allocations peak near twice the returned
-    ``data``, however long the file.  A UTF-8 byte-order mark is dropped.
+    The header is the first line that is neither blank nor starts with
+    ``#``, split by ``csv.reader``.  Every later line goes to one
+    ``np.loadtxt`` call: commas, ``"`` quotes, ``#`` comments.  A UTF-8
+    byte-order mark is dropped.  A read that fails walks the file again and
+    parses each line alone by the same rules, to name the first bad one.
 
     Returns
     -------
-    (header, data, comments)
-        ``data`` has one column per header name and may be empty;
-        ``comments`` collects every ``#`` line regardless of position.
+    (header, data)
+        ``data`` has one column per header name and may be empty.
 
     Raises
     ------
     CsvParseError
-        Naming the 1-based line number of the first malformed row: a header
-        with an empty name, a quoted field longer than
-        ``csv.field_size_limit()``, or a data row whose width or floats are
-        wrong.  Bytes that are not UTF-8 are looked for first in each block,
-        and name the first line that holds them.
+        Naming the 1-based line number of the first malformed line: bytes
+        that are not UTF-8, a header with an empty name or a quoted field
+        longer than ``csv.field_size_limit()``, or a data row that
+        ``np.loadtxt`` cannot parse or whose width is not the header's.  A
+        quoted field that spans lines gets numpy's message alone.
     """
-    header: tuple[str, ...] | None = None
-    blocks: list[np.ndarray] = []
-    comments: list[str] = []
-    first = 1  # the line number of the block's first line
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
-        while lines := list(map(str.rstrip, islice(handle, _READ_LINES), repeat("\r\n"))):
-            if not "".join(lines).isascii():
-                _check_utf8(lines, first)
-            # Data rows are the lines that are neither blank nor comments.
-            numbers = [n for n, line in enumerate(lines, first) if line and line[0] != "#"]
-            rows = lines
-            if len(numbers) < len(lines):
-                comments.extend(line[1:].strip() for line in lines if line[:1] == "#")
-                rows = [lines[number - first] for number in numbers]
-            else:  # rows only: a range, so no list of ints outlives the block
-                numbers = range(first, first + len(lines))
-            if header is None and rows:
-                header = tuple(field.strip() for field in _fields(rows[0], numbers[0]))
-                if not all(header):
-                    raise CsvParseError(f"line {numbers[0]}: empty column name in header")
-                rows, numbers = rows[1:], numbers[1:]
-            if rows:
-                blocks.append(_block_values(rows, numbers, len(header)))
-            first += len(lines)
-    if header is None:
-        raise CsvParseError("line 1: file has no header row")
-    data = np.concatenate(blocks) if blocks else np.empty(0)
-    return header, data.reshape(-1, len(header)), tuple(comments)
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            line = handle.readline()
+            while line[:1] in ("\n", "#"):
+                line = handle.readline()
+            header = _names(line)
+            data = _rows(handle)
+    except (ValueError, csv.Error) as exc:
+        raise _first_fault(path, str(exc)) from exc
+    if header and all(header) and (data.size == 0 or data.shape[1] == len(header)):
+        return header, data.reshape(-1, len(header))
+    raise _first_fault(path, f"expected {len(header)} fields, got {data.shape[1]}")

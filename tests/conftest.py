@@ -6,7 +6,8 @@ changes.  Per-test ``@settings`` (``max_examples``, ``deadline``) and
 ``@example`` pins still apply on top of this profile.
 
 :func:`edited_config` is the one way tests edit the packaged default
-config; test modules import it from here, and :func:`peak_allocation` too.
+config; test modules import it from here, and :func:`peak_allocation` and
+:func:`comment_lines` too.
 The ``noisy_drop`` fixture is the largest table the tests read and fit.
 """
 
@@ -80,3 +81,10 @@ def peak_allocation(call):
         return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def comment_lines(path) -> tuple[str, ...]:
+    """The text after the ``#`` of each comment line of a CSV file, stripped,
+    wherever the line stands."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        return tuple(line[1:].strip() for line in handle if line.startswith("#"))

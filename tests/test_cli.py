@@ -22,7 +22,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import edited_config
+from conftest import comment_lines, edited_config
 
 import loopfwm
 from loopfwm.cli import main
@@ -53,7 +53,7 @@ def small_config(tmp_path):
 
 
 def column(path, name: str) -> np.ndarray:
-    header, data, _ = read_table(path)
+    header, data = read_table(path)
     return data[:, header.index(name)]
 
 
@@ -121,8 +121,8 @@ class TestRingSpectrum:
         coarse, fine = tmp_path / "coarse", tmp_path / "fine"
         assert main(["ring-spectrum", "--out", str(coarse)]) == 0
         assert main(["ring-spectrum", "--out", str(fine), "--resolution-pm", "25"]) == 0
-        _, coarse_data, _ = read_table(coarse / "through.csv")
-        _, fine_data, _ = read_table(fine / "through.csv")
+        _, coarse_data = read_table(coarse / "through.csv")
+        _, fine_data = read_table(fine / "through.csv")
         assert abs(fine_data.shape[0] - 2 * coarse_data.shape[0]) <= 1
 
 
@@ -166,7 +166,9 @@ class TestLaserCurve:
         assert np.all(drop[1:] > 0.0)
 
     @pytest.mark.parametrize(
-        "bound", ["--stop-ma=inf", "--start-ma=nan", "--step-ma=inf", "--tpa=nan", "--tpa=inf"]
+        "bound",
+        ["--stop-ma=inf", "--start-ma=nan", "--step-ma=inf", "--tpa=nan", "--tpa=inf",
+         "--cutoff-ma=nan", "--cutoff-ma=inf"],
     )
     def test_nonfinite_arguments_rejected(self, tmp_path, bound):
         # Rejected before the sweep runs, so no curve of nan powers is written.
@@ -222,8 +224,7 @@ class TestFailedWrite:
 
 class TestFwmSweep:
     def slope_from(self, path) -> float:
-        _, _, comments = read_table(path)
-        summary = [c for c in comments if c.startswith("loglog_slope")]
+        summary = [c for c in comment_lines(path) if c.startswith("loglog_slope")]
         assert len(summary) == 1
         return float(summary[0].split("=")[1])
 
@@ -295,10 +296,10 @@ class TestJsd:
         assert 0.0 < purity <= 1.0
         assert purity * schmidt_number == pytest.approx(1.0, rel=1e-9)
         assert -1.05 < float(fields["ridge_slope"]) < -0.9
-        header, data, comments = read_table(out / "jsd_scan.csv")
+        header, data = read_table(out / "jsd_scan.csv")
         assert header == ("signal_nm", "idler_nm", "intensity")
         assert data.shape[0] == 151 * 201
-        assert any("signal axis" in comment for comment in comments)
+        assert any("signal axis" in comment for comment in comment_lines(out / "jsd_scan.csv"))
         assert np.all(data[:, 2] >= 0.0)
 
     def test_halved_steps_keep_the_report(self, tmp_path, default_runs):
@@ -380,13 +381,12 @@ class TestJsd:
         signal = config.jsd_grid.signal.wavelengths_nm()
         idler = config.jsd_grid.idler.wavelengths_nm()
         assert matrix.shape == (61, 61)
-        _, _, comments = read_table(out / "jsd_scan.csv")
         expected = tmp_path / "expected.csv"
         write_table(
             expected,
             ("signal_nm", "idler_nm", "intensity"),
             (np.repeat(signal, idler.size), np.tile(idler, signal.size), matrix.ravel()),
-            comments=comments,
+            comments=comment_lines(out / "jsd_scan.csv"),
         )
         assert (out / "jsd_scan.csv").read_bytes() == expected.read_bytes()
 
@@ -452,6 +452,31 @@ class TestFit:
         )
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "model, flags, message",
+        [
+            ("lorentzian", ["--window-nm", "1557", "1554"],
+             "--window-nm must satisfy start < stop, both finite, got [1557.0, 1554.0]"),
+            ("lorentzian", ["--window-nm", "nan", "1557"],
+             "--window-nm must satisfy start < stop, both finite, got [nan, 1557.0]"),
+            ("lorentzian", ["--window-nm", "1554", "inf"],
+             "--window-nm must satisfy start < stop, both finite, got [1554.0, inf]"),
+            ("lorentzian", ["--cutoff-ma", "130"], "--cutoff-ma applies only to --model lasing"),
+            ("lasing", ["--cutoff-ma", "nan"], "--cutoff-ma must be finite, got nan"),
+            ("lasing", ["--cutoff-ma", "inf"], "--cutoff-ma must be finite, got inf"),
+            ("lasing", ["--window-nm", "1", "2"],
+             "--window-nm applies only to --model lorentzian"),
+        ],
+        ids=["reversed_window", "nan_window", "infinite_window", "cutoff_on_lorentzian",
+             "nan_cutoff", "infinite_cutoff", "window_on_lasing"],
+    )
+    def test_bad_flags_rejected(self, tmp_path, capsys, fit_inputs, model, flags, message):
+        table = fit_inputs / ("drop.csv" if model == "lorentzian" else "laser_curve.csv")
+        argv = ["fit", str(table), "--model", model, *flags]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_missing_input_file_exit_code(self, tmp_path):
         code = main(
             ["fit", str(tmp_path / "absent.csv"), "--model", "lasing", "--out", str(tmp_path)]
@@ -477,8 +502,13 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "rows",
-        [["1555.0,0.5"], ["1555.0,0.5", "inf,0.4", "inf,0.3"]],
-        ids=["one_row", "infinite_wavelength"],
+        [
+            ["1555.0,0.5"],
+            ["1555.0,0.5", "inf,0.4", "inf,0.3"],
+            # A quoted field longer than csv.field_size_limit() reads as inf.
+            ["1555.0,0.5", '"' + "1" * 131073 + '",0.4', "1555.2,0.3"],
+        ],
+        ids=["one_row", "infinite_wavelength", "field_over_csv_limit"],
     )
     def test_unusable_spectrum_exit_code(self, tmp_path, capsys, rows):
         spectrum = tmp_path / "spectrum.csv"

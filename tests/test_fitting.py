@@ -175,7 +175,7 @@ def default_drop(tmp_path_factory):
     """The default ``ring-spectrum`` drop port, as ``fit`` reads it."""
     out = tmp_path_factory.mktemp("ring")
     assert main(["ring-spectrum", "--out", str(out)]) == 0
-    _, data, _ = read_table(out / "drop.csv")
+    _, data = read_table(out / "drop.csv")
     return out / "drop.csv", data[:, 0], data[:, 1]
 
 
@@ -411,7 +411,7 @@ class TestLorentzianFit:
 
     def test_trace_fit_peaks_below_eight_and_a_half_mb(self, noisy_drop):
         # The 60,001 x 4 Jacobian is 1.9 MB; one buffer serves every step.
-        _, data, _ = read_table(noisy_drop)
+        _, data = read_table(noisy_drop)
         spectrum = Spectrum(data[:, 0], data[:, 1], "drop")
         window = (data[0, 0], data[-1, 0])
         report, peak = peak_allocation(lambda: fit_lorentzian(spectrum, window))
