@@ -25,16 +25,17 @@ and the tests hold the bulk formatter to it.
 :func:`read_table` splits the header with ``csv.reader`` and hands every
 later line to one ``np.loadtxt`` call, numpy's C parser, so ``#`` starts a
 comment anywhere outside quotes and a read allocates little beyond the array
-it returns.  Only a read that fails walks the file again, line by line, to
-name the first line that breaks that one grammar.
+it returns.  A failed read is repeated on numbered lines to name the last one taken.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import re
 import warnings
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -273,41 +274,52 @@ def write_grid(
     _write_file(path, header, comments, cells.size, block)
 
 
-def _names(line: str) -> tuple[str, ...]:
-    """The column names on a header line: its ``csv.reader`` fields, stripped."""
-    return tuple(field.strip() for field in next(csv.reader([line])))
+def _header(lines: Iterator[str]) -> tuple[str, ...]:
+    """The stripped ``csv.reader`` fields of the first of ``lines`` not blank or ``#``."""
+    line = next((line for line in lines if line[:1] not in ("\n", "#")), "")
+    names = tuple(field.strip() for field in next(csv.reader([line])))
+    if not (names and all(names)):
+        raise ValueError("empty column name in header" if names else "file has no header row")
+    return names
 
 
-def _rows(lines: Iterable[str]) -> np.ndarray:
-    """The data rows among ``lines`` as a 2-D float64 array, parsed by
-    numpy; blank lines and ``#`` comments give no row."""
+def _rows(lines: Iterable[str], width: int) -> np.ndarray:
+    """The rows of ``lines`` as ``width`` float64 columns, read by one ``np.loadtxt`` call."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(lines, delimiter=",", quotechar='"', comments="#", ndmin=2)
+        data = np.loadtxt(lines, delimiter=",", quotechar='"', comments="#", ndmin=2)
+    if data.size and data.shape[1] != width:
+        raise ValueError(f"expected {width} fields, got {data.shape[1]}")
+    return data.reshape(-1, width)
 
 
-def _first_fault(path: str | Path, cause: str) -> CsvParseError:
-    """The error naming the first line of ``path``, in file order, that breaks
-    the grammar of :func:`read_table`.  ``cause``, the failed read's message,
-    is kept for a fault that no single line shows: a quoted field spanning
-    lines."""
-    width = 0  # the header's, once it is read
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
+def _fault(path: str | Path, cause: Exception) -> CsvParseError:
+    """The error naming the line where reading ``path`` failed with ``cause``:
+    the last line taken when :func:`_header` and :func:`_rows` read it again,
+    lines numbered and checked as UTF-8, data rows after one of the header's
+    width.  That line parsed alone gives the message, unless it parses."""
+    number, line, width = 0, "", 0
+
+    def numbered(handle: Iterable[str]) -> Iterator[str]:
+        nonlocal number, line
         for number, line in enumerate(handle, 1):
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+            yield line
+
+    try:
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
+            lines = numbered(handle)
+            width = len(_header(lines))
+            _rows(itertools.chain([",".join("0" * width)], lines), width)
+    except (ValueError, csv.Error) as exc:
+        cause = exc
+        if width and not isinstance(exc, UnicodeDecodeError):
             try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-                if width:
-                    row = _rows([line])
-                    if row.size and row.shape[1] != width:
-                        raise ValueError(f"expected {width} fields, got {row.shape[1]}")
-                elif line[:1] not in ("\n", "#"):
-                    header = _names(line)
-                    if not all(header):
-                        raise ValueError("empty column name in header")
-                    width = len(header)
-            except (ValueError, csv.Error) as exc:
-                return CsvParseError(f"line {number}: {exc}")
-    return CsvParseError(cause if width else "line 1: file has no header row")
+                _rows([line], width)
+            except ValueError as alone:
+                cause = alone
+    message = re.sub(r" at row \d+, (column \d+\.)$", r" at \1", str(cause))
+    return CsvParseError(f"line {max(number, 1)}: {message}")
 
 
 def read_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -316,8 +328,8 @@ def read_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     The header is the first line that is neither blank nor starts with
     ``#``, split by ``csv.reader``.  Every later line goes to one
     ``np.loadtxt`` call: commas, ``"`` quotes, ``#`` comments.  A UTF-8
-    byte-order mark is dropped.  A read that fails walks the file again and
-    parses each line alone by the same rules, to name the first bad one.
+    byte-order mark is dropped.  A read that fails reads the file again by
+    the same two steps, its lines numbered, to name the line it stops at.
 
     Returns
     -------
@@ -331,17 +343,11 @@ def read_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
         that are not UTF-8, a header with an empty name or a quoted field
         longer than ``csv.field_size_limit()``, or a data row that
         ``np.loadtxt`` cannot parse or whose width is not the header's.  A
-        quoted field that spans lines gets numpy's message alone.
+        quoted field that spans lines is named by the last line of its row.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            line = handle.readline()
-            while line[:1] in ("\n", "#"):
-                line = handle.readline()
-            header = _names(line)
-            data = _rows(handle)
+            header = _header(handle)
+            return header, _rows(handle, len(header))
     except (ValueError, csv.Error) as exc:
-        raise _first_fault(path, str(exc)) from exc
-    if header and all(header) and (data.size == 0 or data.shape[1] == len(header)):
-        return header, data.reshape(-1, len(header))
-    raise _first_fault(path, f"expected {len(header)} fields, got {data.shape[1]}")
+        raise _fault(path, exc) from exc

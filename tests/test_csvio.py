@@ -1,6 +1,7 @@
 """Tests for the fixed-dialect CSV layer."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -84,13 +85,13 @@ class TestMalformedInput:
     @pytest.mark.parametrize("field", ["1_000", "\uff11"], ids=["underscore", "full_width"])
     def test_python_only_float_names_line(self, tmp_path, field):
         # Python's float() reads both; numpy's parser, which reads every row,
-        # does not, and the walk that names the line parses rows the same way.
+        # does not, and the re-read that names the line parses rows the same way.
         path = tmp_path / "bad.csv"
         path.write_text(f"x,y\n1.0,2.0\n{field},2.0\n", encoding="utf-8")
         with pytest.raises(CsvParseError) as caught:
             read_table(path)
         assert str(caught.value) == (
-            f"line 3: could not convert string '{field}' to float64 at row 0, column 1."
+            f"line 3: could not convert string '{field}' to float64 at column 1."
         )
 
     def test_rows_wider_than_header_name_first_row(self, tmp_path):
@@ -109,7 +110,21 @@ class TestMalformedInput:
         with pytest.raises(CsvParseError) as caught:
             read_table(path)
         assert str(caught.value) == (
-            "line 55001: could not convert string 'oops' to float64 at row 0, column 2."
+            "line 55001: could not convert string 'oops' to float64 at column 2."
+        )
+
+    @pytest.mark.parametrize(
+        "text", ['x\n"1\n#"\n', 'x,y\n"1\n#",2\n'], ids=["one_column", "two_columns"]
+    )
+    def test_quoted_field_spanning_lines_names_its_last_line(self, tmp_path, text):
+        # numpy reads a quoted field on past its newline, so the "#" is no
+        # comment and the row ends on line 3.
+        path = tmp_path / "quoted.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CsvParseError) as caught:
+            read_table(path)
+        assert str(caught.value) == (
+            "line 3: could not convert string '1\\n#' to float64 at column 1."
         )
 
     def test_latin1_header_names_line(self, tmp_path):
@@ -228,7 +243,7 @@ class TestBlockParse:
         "row, message",
         [
             ("1,2,3", "expected 2 fields, got 3"),
-            ('"1",oops', "could not convert string 'oops' to float64 at row 0, column 2."),
+            ('"1",oops', "could not convert string 'oops' to float64 at column 2."),
         ],
     )
     @pytest.mark.parametrize("offset", [1, 17], ids=["first_line", "inside"])
@@ -258,6 +273,31 @@ class TestBlockParse:
         with pytest.raises(CsvParseError) as raised:
             read_table(path)
         assert str(raised.value) == message
+
+    def test_trace_reads_in_one_loadtxt_call(self, noisy_drop, tmp_path, monkeypatch):
+        # A good table is one call on the open file, numpy's fastest source;
+        # a bad last row costs two more, not one per line.
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(lines, *args, **kwargs):
+            calls.append(lines)
+            return loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        assert read_table(noisy_drop)[1].shape == (60001, 2)
+        assert len(calls) == 1
+        assert isinstance(calls[0], io.TextIOWrapper) and calls[0].name == str(noisy_drop)
+        text = noisy_drop.read_text(encoding="utf-8")
+        bad = tmp_path / "bad_last_row.csv"
+        bad.write_text(text[: text.rindex(",")] + ",oops\n", encoding="utf-8")
+        calls.clear()
+        with pytest.raises(CsvParseError) as caught:
+            read_table(bad)
+        assert len(calls) <= 3
+        assert str(caught.value) == (
+            "line 60002: could not convert string 'oops' to float64 at column 2."
+        )
 
     def test_trace_peaks_below_one_and_a_half_arrays(self, noisy_drop):
         (header, data), peak = peak_allocation(lambda: read_table(noisy_drop))
