@@ -237,20 +237,6 @@ def _load(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
     return load_config(args.config), str(args.config)
 
 
-def _report_lines(report: FitReport) -> list[str]:
-    lines = [
-        f"model: {report.model}",
-        f"points_used: {report.points_used}",
-        f"points_excluded: {report.points_excluded}",
-        f"residual_rms: {format_float(report.residual_rms)}",
-    ]
-    for name, parameter in report.parameters.items():
-        lines.append(
-            f"{name}: {format_float(parameter.value)} +/- {format_float(parameter.sigma)}"
-        )
-    return lines
-
-
 def _text(lines: list[str]) -> Writer:
     """A writer of ``lines`` as a text file."""
     return lambda path: path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -261,18 +247,24 @@ def _table(header: tuple[str, ...], columns: tuple[np.ndarray, ...], **options) 
     return lambda path: write_table(path, header, columns, **options)
 
 
-def _report_outputs(stem: str, report: FitReport) -> Outputs:
-    """Writers of a fit report as text and as a one-row CSV."""
-    header = ["model", "points_used", "points_excluded", "residual_rms"]
-    row = [report.model, str(report.points_used), str(report.points_excluded),
-           format_float(report.residual_rms)]
+def _report(stem: str, report: FitReport) -> Run:
+    """Writers of a fit report as text and as a one-row CSV, and the text itself."""
+    fields = [
+        ("model", report.model),
+        ("points_used", str(report.points_used)),
+        ("points_excluded", str(report.points_excluded)),
+        ("residual_rms", format_float(report.residual_rms)),
+    ]
+    lines = [f"{name}: {value}" for name, value in fields]
     for name, parameter in report.parameters.items():
-        header.extend([name, f"{name}_sigma"])
-        row.extend([format_float(parameter.value), format_float(parameter.sigma)])
+        value, sigma = format_float(parameter.value), format_float(parameter.sigma)
+        fields += [(name, value), (f"{name}_sigma", sigma)]
+        lines.append(f"{name}: {value} +/- {sigma}")
+    header, row = zip(*fields)
     return {
-        f"{stem}.txt": _text(_report_lines(report)),
+        f"{stem}.txt": _text(lines),
         f"{stem}.csv": _text([",".join(header), ",".join(row)]),
-    }
+    }, "\n".join(lines)
 
 
 def _cmd_ring_spectrum(args: argparse.Namespace, config: ExperimentConfig, directory: Path) -> Run:
@@ -282,8 +274,6 @@ def _cmd_ring_spectrum(args: argparse.Namespace, config: ExperimentConfig, direc
     resolution = (
         args.resolution_pm if args.resolution_pm is not None else config.spectrum_resolution_pm
     )
-    if not stop > start:
-        raise ConfigError(f"wavelength range must satisfy start < stop, got [{start}, {stop}]")
     if not start > 0.0:
         raise ConfigError(f"start wavelength must be positive, got {start} nm")
     if resolution <= 0.0:
@@ -310,12 +300,6 @@ def _check_cutoff(cutoff_ma: float | None) -> None:
 
 
 def _cmd_laser_curve(args: argparse.Namespace, config: ExperimentConfig, directory: Path) -> Run:
-    if not args.stop_ma > args.start_ma:
-        raise ConfigError(
-            f"current range must satisfy start < stop, got [{args.start_ma}, {args.stop_ma}]"
-        )
-    if args.step_ma <= 0.0:
-        raise ConfigError(f"current step must be positive, got {args.step_ma}")
     _check_cutoff(args.cutoff_ma)
     currents = range_grid(args.start_ma, args.stop_ma, args.step_ma)
 
@@ -331,7 +315,7 @@ def _cmd_laser_curve(args: argparse.Namespace, config: ExperimentConfig, directo
         "laser_curve.csv": _table(
             ("current_mA", "drop_power_mw", "tap_power_uw"), (currents, drop, tap * 1e3)
         ),
-        **_report_outputs("laser_fit", report),
+        **_report("laser_fit", report)[0],
     }
     return outputs, (
         f"threshold {format_float(report.value('threshold_ma'))} mA, "
@@ -481,4 +465,4 @@ def _cmd_fit(args: argparse.Namespace, config: ExperimentConfig, directory: Path
             report = fit_lasing_curve(xs, ys, exclusion_cutoff_ma=args.cutoff_ma)
     except ValueError as exc:
         raise UnusableDataError(exc) from exc
-    return _report_outputs("fit_report", report), "\n".join(_report_lines(report))
+    return _report("fit_report", report)

@@ -293,11 +293,16 @@ def _rows(lines: Iterable[str], width: int) -> np.ndarray:
     return data.reshape(-1, width)
 
 
+#: numpy's place of a value it could not convert; its row counts rows, not lines.
+_AT_ROW = re.compile(r" at row \d+, (column \d+\.)$")
+
+
 def _fault(path: str | Path, cause: Exception) -> CsvParseError:
     """The error naming the line where reading ``path`` failed with ``cause``:
     the last line taken when :func:`_header` and :func:`_rows` read it again,
     lines numbered and checked as UTF-8, data rows after one of the header's
-    width.  That line parsed alone gives the message, unless it parses."""
+    width.  That line parsed alone gives the message, unless it parses or numpy
+    could not convert a value: numpy quotes the field as read, even across lines."""
     number, line, width = 0, "", 0
 
     def numbered(handle: Iterable[str]) -> Iterator[str]:
@@ -313,12 +318,12 @@ def _fault(path: str | Path, cause: Exception) -> CsvParseError:
             _rows(itertools.chain([",".join("0" * width)], lines), width)
     except (ValueError, csv.Error) as exc:
         cause = exc
-        if width and not isinstance(exc, UnicodeDecodeError):
+        if width and not isinstance(exc, UnicodeDecodeError) and not _AT_ROW.search(str(exc)):
             try:
                 _rows([line], width)
             except ValueError as alone:
                 cause = alone
-    message = re.sub(r" at row \d+, (column \d+\.)$", r" at \1", str(cause))
+    message = _AT_ROW.sub(r" at \1", str(cause))
     return CsvParseError(f"line {max(number, 1)}: {message}")
 
 

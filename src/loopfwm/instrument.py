@@ -59,21 +59,21 @@ def centered_grid(center_nm: float, span_nm: float, step_nm: float) -> np.ndarra
     return center_nm + offsets
 
 
-def range_grid(start_nm: float, stop_nm: float, step_nm: float) -> np.ndarray:
-    """Uniform grid from ``start_nm`` to ``stop_nm`` inclusive (up to rounding)."""
-    if not all(math.isfinite(value) for value in (start_nm, stop_nm, step_nm)):
+def range_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Uniform grid from ``start`` to ``stop`` inclusive (up to rounding), in the
+    unit the three share: the wavelength and the drive-current sweeps both use it."""
+    if not all(math.isfinite(value) for value in (start, stop, step)):
         raise ValueError(
-            f"grid bounds and step must be finite, got [{start_nm}, {stop_nm}] "
-            f"step {step_nm}"
+            f"grid bounds and step must be finite, got [{start}, {stop}] step {step}"
         )
-    if step_nm <= 0.0:
-        raise ValueError(f"step_nm must be positive, got {step_nm}")
-    if stop_nm <= start_nm:
-        raise ValueError(f"stop_nm must exceed start_nm, got [{start_nm}, {stop_nm}]")
-    intervals = (stop_nm - start_nm) / step_nm
+    if step <= 0.0:
+        raise ValueError(f"grid step must be positive, got {step}")
+    if stop <= start:
+        raise ValueError(f"grid stop must exceed its start, got [{start}, {stop}]")
+    intervals = (stop - start) / step
     _check_point_count(intervals)
     count = int(math.floor(intervals + 1e-9)) + 1
-    return start_nm + np.arange(count) * step_nm
+    return start + np.arange(count) * step
 
 
 def gaussian_kernel(step_nm: float, fwhm_nm: float, max_halfwidth: int | None = None) -> np.ndarray:

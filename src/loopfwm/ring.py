@@ -370,10 +370,7 @@ def solve_coupling(
         )
     s = math.sqrt(through_extinction)
     t = 0.5 * (s * (1.0 - r) + math.sqrt(s**2 * (1.0 - r) ** 2 + 4.0 * r))
-    a = r / t**2
-    if not 0.0 < a <= 1.0:
-        raise ValueError(
-            f"calibration has no physical solution: round-trip loss {a:.6f} "
-            f"outside (0, 1]"
-        )
+    # a = r/t**2 = 1 - s*(1 - r)/t, at most 1 but rounded above it for a tiny s;
+    # at s = 0 the ring is lossless and its through port dark on resonance.
+    a = min(r / t**2, 1.0) if s > 0.0 else 1.0
     return RingCoupling(through_amplitude=t, drop_amplitude=t, loss_amplitude=a)

@@ -117,6 +117,15 @@ class TestRingSpectrum:
         assert "start wavelength must be positive" in capsys.readouterr().err
         assert not (tmp_path / "run" / "through.csv").exists()
 
+    def test_zero_extinction_accepted(self, tmp_path):
+        path = tmp_path / "critical.yaml"
+        path.write_text(
+            edited_config((("ring", "coupling", "extinction"), 0.0)), encoding="utf-8"
+        )
+        out = tmp_path / "run"
+        assert main(["ring-spectrum", "--config", str(path), "--out", str(out)]) == 0
+        assert float(column(out / "through.csv", "through").min()) < 1e-6
+
     def test_halving_resolution_doubles_rows(self, tmp_path):
         coarse, fine = tmp_path / "coarse", tmp_path / "fine"
         assert main(["ring-spectrum", "--out", str(coarse)]) == 0
@@ -199,6 +208,25 @@ class TestLaserCurve:
         argv = ["laser-curve", "--config", str(path), "--out", str(tmp_path / "run")]
         assert main(argv + extra) == 2
         assert "loop loss is 0 dB" in capsys.readouterr().err
+
+
+# instrument.range_grid alone checks the bounds of both linear sweeps.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ring-spectrum", "--start-nm=1556", "--stop-nm=1555"],
+         "grid stop must exceed its start, got [1556.0, 1555.0]"),
+        (["laser-curve", "--start-ma=100", "--stop-ma=90"],
+         "grid stop must exceed its start, got [100.0, 90.0]"),
+        (["laser-curve", "--step-ma=0"], "grid step must be positive, got 0.0"),
+        (["laser-curve", "--step-ma=-5"], "grid step must be positive, got -5.0"),
+    ],
+    ids=["reversed_wavelengths", "reversed_currents", "zero_step", "negative_step"],
+)
+def test_bad_sweep_is_rejected_by_the_grid(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"invalid parameter: {message}\n"
+    assert not (tmp_path / "run").exists()
 
 
 class TestFailedWrite:
@@ -466,9 +494,11 @@ class TestFit:
             ("lasing", ["--cutoff-ma", "inf"], "--cutoff-ma must be finite, got inf"),
             ("lasing", ["--window-nm", "1", "2"],
              "--window-nm applies only to --model lorentzian"),
+            ("lasing", ["--column", "drop"],
+             "column 'drop' not in file columns current_mA, drop_power_mw, tap_power_uw"),
         ],
         ids=["reversed_window", "nan_window", "infinite_window", "cutoff_on_lorentzian",
-             "nan_cutoff", "infinite_cutoff", "window_on_lasing"],
+             "nan_cutoff", "infinite_cutoff", "window_on_lasing", "absent_column"],
     )
     def test_bad_flags_rejected(self, tmp_path, capsys, fit_inputs, model, flags, message):
         table = fit_inputs / ("drop.csv" if model == "lorentzian" else "laser_curve.csv")

@@ -114,18 +114,23 @@ class TestMalformedInput:
         )
 
     @pytest.mark.parametrize(
-        "text", ['x\n"1\n#"\n', 'x,y\n"1\n#",2\n'], ids=["one_column", "two_columns"]
+        "text, message",
+        [
+            ('x\n"1\n#"\n', "could not convert string '1\\n#' to float64 at column 1."),
+            ('x,y\n"1\n#",2\n', "could not convert string '1\\n#' to float64 at column 1."),
+            # Line 3 alone would quote its own fragment, '2"'.
+            ('x,y\n"1\n2",3\n', "could not convert string '1\\n2' to float64 at column 1."),
+        ],
+        ids=["one_column", "two_columns", "fragment_parses_apart"],
     )
-    def test_quoted_field_spanning_lines_names_its_last_line(self, tmp_path, text):
+    def test_quoted_field_spanning_lines_names_its_last_line(self, tmp_path, text, message):
         # numpy reads a quoted field on past its newline, so the "#" is no
         # comment and the row ends on line 3.
         path = tmp_path / "quoted.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(CsvParseError) as caught:
             read_table(path)
-        assert str(caught.value) == (
-            "line 3: could not convert string '1\\n#' to float64 at column 1."
-        )
+        assert str(caught.value) == f"line 3: {message}"
 
     def test_latin1_header_names_line(self, tmp_path):
         path = tmp_path / "latin1.csv"

@@ -205,6 +205,10 @@ class TestSpectrumType:
         with pytest.raises(ValueError, match="kind"):
             Spectrum(np.array([1.0, 2.0]), np.zeros(2), "add")
 
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="does not match"):
+            Spectrum(np.array([1.0, 2.0, 3.0]), np.zeros(2), "drop")
+
 
 class TestFitReportType:
     def test_rejects_negative_uncertainty(self):
@@ -214,6 +218,16 @@ class TestFitReportType:
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError, match="nonnegative"):
             FitReport({"a": FitParameter(1.0, 0.0)}, 0.0, -1, 0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_value(self, value):
+        with pytest.raises(ValueError, match="fitted value must be finite"):
+            FitParameter(value, 0.1)
+
+    @pytest.mark.parametrize("residual_rms", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_residual_rms(self, residual_rms):
+        with pytest.raises(ValueError, match="residual_rms"):
+            FitReport({"a": FitParameter(1.0, 0.0)}, residual_rms, 1, 0)
 
     def test_parameters_are_read_only(self):
         report = FitReport({"a": FitParameter(1.0, 0.0)}, 0.0, 1, 0)
@@ -362,6 +376,31 @@ class TestLorentzianFit:
         grid = CENTER_NM + 0.01 * np.arange(-84, 85)
         with pytest.raises(ValueError, match="no feature"):
             fit_lorentzian(Spectrum(grid, np.full(grid.size, 0.5), "idler"), (grid[0], grid[-1]))
+
+    def test_guess_width_past_float_range_falls_back_to_five_steps(self):
+        # No sample drops below half maximum, so the half-maximum crossings
+        # are the window's edges, 3e308 nm apart: past float range.
+        wavelengths = np.arange(-10, 11) * 1.5e307
+        values = np.where(wavelengths < 0.0, 0.0, 1.0)
+        values[10] = 1.5
+        _, fwhm, _, _ = fitting._initial_lorentzian_guess(wavelengths, values)
+        assert fwhm == pytest.approx(5.0 * 1.5e307, rel=1e-12)
+
+    def test_zero_width_fit_is_a_convergence_failure(self, monkeypatch):
+        # No spectrum is known to make the optimizer land on a width of
+        # exactly zero, so it is stubbed to; the quality factor would
+        # divide by it.
+        grid = CENTER_NM + 0.01 * np.arange(-84, 85)
+        values = lorentzian_profile(grid, CENTER_NM, 0.5, 1.0, 0.0)
+
+        def collapse(wavelengths, values, params):
+            params = params.copy()
+            params[1] = -0.0
+            return params, np.zeros(wavelengths.size), 0.0
+
+        monkeypatch.setattr(fitting, "_levenberg_marquardt", collapse)
+        with pytest.raises(FitConvergenceError, match="zero width"):
+            fit_lorentzian(Spectrum(grid, values, "idler"), (grid[0], grid[-1]))
 
     def test_covariance_skips_zero_singular_values(self):
         # A parameter the model does not depend on has variance 0, computed
@@ -636,6 +675,10 @@ class TestLasingCurveFit:
     def test_rejects_all_dark_data(self):
         with pytest.raises(ValueError, match="below threshold"):
             fit_lasing_curve(self.CURRENTS, np.zeros_like(self.CURRENTS))
+
+    def test_rejects_unequal_arrays(self):
+        with pytest.raises(ValueError, match="equal-length 1-D arrays"):
+            fit_lasing_curve(self.CURRENTS, np.zeros(self.CURRENTS.size - 1))
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError, match="four points"):

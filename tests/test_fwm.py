@@ -59,6 +59,12 @@ class TestTriplet:
         with pytest.raises(ValueError, match="distinct"):
             FwmTriplet(pump_nm=1555.87, signal_nm=1555.87, idler_nm=1555.87)
 
+    @pytest.mark.parametrize("name", ["pump_nm", "signal_nm", "idler_nm"])
+    def test_rejects_nonpositive_wavelength(self, name):
+        wavelengths = {"pump_nm": 1555.87, "signal_nm": 1563.45, "idler_nm": 1548.39, name: 0.0}
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            FwmTriplet(**wavelengths)
+
 
 def sweep(axis, values, fixed, gamma=GAMMA, coupling=COUPLING):
     return conversion_sweep(axis, values, fixed, GEOMETRY, coupling, gamma)

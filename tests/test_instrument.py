@@ -41,8 +41,13 @@ class TestGrids:
             centered_grid(1555.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="span_nm"):
             centered_grid(1555.0, -1.0, 0.01)
-        with pytest.raises(ValueError, match="stop_nm"):
+        with pytest.raises(ValueError, match="stop must exceed its start"):
             range_grid(1566.0, 1560.0, 0.01)
+
+    @pytest.mark.parametrize("step", [0.0, -0.01])
+    def test_range_grid_rejects_nonpositive_step(self, step):
+        with pytest.raises(ValueError, match=f"grid step must be positive, got {step}"):
+            range_grid(1560.0, 1566.0, step)
 
     def test_rejects_counts_past_the_limit_before_allocating(self):
         # Every count here fails the check; none is ever allocated.
@@ -80,6 +85,9 @@ class TestKernel:
     def test_halfwidth_cap(self):
         kernel = gaussian_kernel(0.01, 0.5, max_halfwidth=10)
         assert kernel.size == 21
+
+    def test_zero_halfwidth_cap_is_the_identity(self):
+        assert gaussian_kernel(0.01, 0.5, max_halfwidth=0).tolist() == [1.0]
 
     def test_rejects_bad_widths(self):
         with pytest.raises(ValueError, match="fwhm_nm"):

@@ -170,6 +170,17 @@ class TestJsa:
         with pytest.raises(ValueError, match="zero"):
             JointAmplitude(np.zeros((4, 4), dtype=complex))
 
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError, match="must be a matrix"):
+            JointAmplitude(np.ones(4, dtype=complex))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(1.0, np.inf)])
+    def test_rejects_nonfinite_entries(self, entry):
+        matrix = np.ones((3, 3), dtype=complex)
+        matrix[1, 2] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            JointAmplitude(matrix)
+
 
 class TestSchmidt:
     def random_joint(self, matrix: np.ndarray) -> JointAmplitude:
@@ -197,6 +208,11 @@ class TestSchmidt:
         result = schmidt(self.random_joint(matrix))
         assert result.purity == pytest.approx(0.5, abs=1e-10)
         assert result.schmidt_number == pytest.approx(2.0, abs=1e-9)
+
+    def test_underflowing_singular_values_rejected(self):
+        # Each singular value is 2e-200; its square underflows to 0.
+        with pytest.raises(ValueError, match="identically zero"):
+            schmidt(self.random_joint(np.full((2, 2), 1e-200)))
 
     def test_matches_trace_oracle(self):
         rng = np.random.default_rng(41)

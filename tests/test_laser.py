@@ -169,6 +169,10 @@ class TestSaturatedGain:
         residual = math.log(g) + (g - 1.0) * 3.0 / GAIN.saturation_power_mw - g0
         assert abs(residual) < 1e-12
 
+    def test_rejects_negative_input_power(self):
+        with pytest.raises(ValueError, match="input_power_mw must be >= 0"):
+            saturated_single_pass_gain(GAIN, 90.0, -1.0)
+
 
 def lasing_onset_ma(budget, low: float = 0.0, high: float = 200.0) -> float:
     """Smallest current, to float resolution, at which the closed-form

@@ -212,6 +212,14 @@ class TestLinewidth:
             with pytest.raises(ValueError, match="no finite linewidth"):
                 function(resonance_nm, GEOMETRY, calibrated)
 
+    def test_linewidth_past_float_range_in_ghz_raises(self, calibrated):
+        # A 1e-300 um ring has a finite 7e300 nm linewidth, which is past
+        # float range in GHz.
+        tiny = RingGeometry(radius_um=1e-300, group_index=4.0)
+        assert math.isfinite(drop_fwhm_nm(RESONANCE_NM, tiny, calibrated))
+        with pytest.raises(ValueError, match="no finite linewidth .* GHz"):
+            linewidth_ghz(RESONANCE_NM, tiny, calibrated)
+
     def test_linewidth_in_frequency_units(self, calibrated):
         fwhm_nm = drop_fwhm_nm(RESONANCE_NM, GEOMETRY, calibrated)
         expected = SPEED_OF_LIGHT_NM_GHZ * fwhm_nm / RESONANCE_NM**2
@@ -257,6 +265,32 @@ class TestCalibration:
             solve_coupling(GEOMETRY, RESONANCE_NM, 2750.0, 1.5)
         with pytest.raises(ValueError, match="too wide"):
             solve_coupling(GEOMETRY, RESONANCE_NM, 150.0, 0.04)
+
+    def test_rejects_linewidth_at_the_ring_limit(self):
+        # A linewidth a hair under one free spectral range: cos of its half
+        # phase rounds to -1, so the round-trip factor is the limit itself.
+        lowest_q = GEOMETRY.group_index * GEOMETRY.circumference_nm / RESONANCE_NM
+        with pytest.raises(ValueError, match=r"round-trip factor 0\.171573"):
+            solve_coupling(GEOMETRY, RESONANCE_NM, lowest_q * (1.0 + 1e-12), 0.04)
+
+    def test_zero_extinction_over_a_q_sweep(self):
+        # At zero extinction the loss is 1 and the through port dark on
+        # resonance; at a tiny one r/t**2 can round to just above 1, and is
+        # capped at 1.
+        solved = 0
+        for q_target in np.geomspace(1e2, 1e6, 2000):
+            try:
+                coupling = solve_coupling(GEOMETRY, RESONANCE_NM, q_target, 0.0)
+            except ValueError as exc:
+                # Below a Q of about 207 the line is wider than the ring holds.
+                assert "too wide" in str(exc)
+                continue
+            solved += 1
+            assert coupling.loss_amplitude == 1.0
+            assert through_transmission(0.0, coupling) == 0.0
+            tiny = solve_coupling(GEOMETRY, RESONANCE_NM, q_target, 1e-40)
+            assert tiny.loss_amplitude <= 1.0
+        assert solved == 1841
 
 
 class TestSpectra:
