@@ -8,19 +8,27 @@ with ``#`` are comments; writers place them before the header, and
 summary lines may be appended after the data.  :func:`write_table` writes
 named columns, :func:`write_grid` a matrix over two axes in long form.
 
-Both writers format every cell with one bulk formatter, in blocks of
-``_BLOCK_LINES`` lines.  For a finite ``v`` with ``1e-33 <= |v| < 1e56`` it
-takes the decimal exponent ``e`` from ``log10|v|``, scales ``|v|`` by
-``10**(11 - e)`` with at most two multiplies or divides by exact powers of
-ten, and rounds the result ``s`` to an integer: the 12 digits.  The exponent
-is corrected once when ``s`` falls outside ``[1e11, 1e12)``.  Each step is
-correctly rounded, so ``s`` is within 2 ulp of the exact product, and a cell
-whose ``s`` lies within 4 ulp of a rounding tie goes to ``%`` instead; every
-other cell gets exactly ``%``'s digits.  Zeros, subnormals, non-finite and
-out-of-range values go to ``%`` too.  The digits are laid out by ``%g``'s
-rules: fixed notation for exponents -4 to 11, else ``d.ddde±XX``, trailing
-zeros cut.  :func:`format_float` formats single values with ``%`` itself,
-and the tests hold the bulk formatter to it.
+Both writers format every cell with one bulk formatter,
+:class:`_CellFormatter`, in blocks of ``_BLOCK_LINES`` lines.  Per block it
+takes the decimal exponent ``e`` of each ``|v|`` from ``log10``, scales
+``|v|`` by ``10**(11 - e)`` in two multiplies by powers of ten, and rounds
+the result ``s`` to an integer: the 12 digits.  Each multiply rounds once,
+and so does each power of ten that is not exact: ``n`` roundings, one to
+four, put ``s`` within ``n * 2**-13`` of the exact product.  A cell whose
+``s`` lies outside ``[1e11, 1e12 - 1/2)`` or that near a rounding tie goes
+to ``%`` instead, and every other cell gets exactly ``%``'s digits.  Zeros,
+subnormals, non-finite and out-of-range values go to ``%`` too.  The digits
+are laid out by ``%g``'s rules: fixed notation for exponents -4 to 11, else
+``d.ddde±XX``, trailing zeros cut.  Table rows do the rest: the exponent's
+row, signed by the value, holds the scale factors, the tie bound and the
+frame of sign, ``0.0…`` prefix, ``e±XX`` suffix and separator; groups of
+four digits give their text; and one row of masks, chosen by the exponent
+and the count of significant digits, cuts the zeros and moves the point in.
+Every step writes through ``out=`` to work arrays made once per write, and
+the words of each line go straight into one reused line array, a view of
+the ``bytearray`` whose NUL bytes ``translate`` deletes.
+:func:`format_float` formats single values with ``%`` itself, and the
+tests hold the bulk formatter to it.
 
 :func:`read_table` splits the header with ``csv.reader`` and hands every
 later line to one ``np.loadtxt`` call, numpy's C parser, so ``#`` starts a
@@ -46,10 +54,50 @@ _FLOAT_FORMAT = "%.12g"
 #: Lines formatted and written per block; bounds a write's working memory.
 _BLOCK_LINES = 1 << 13
 
-# Two powers of ten, each an exact double (10**22 is the largest), whose
-# product is 10**|shift| for shift = -44..44 (index shift + 44).
-_FIRST_POWER = np.array([float(10 ** min(abs(shift), 22)) for shift in range(-44, 45)])
-_SECOND_POWER = np.array([float(10 ** max(abs(shift) - 22, 0)) for shift in range(-44, 45)])
+# Clamps of |v| before its log10.  Zeros, NaN, infinities and |v| past them
+# become one of the two, whose scaled values fall just outside
+# [1e11, 1e12 - 1/2) whatever exponent log10 gives them, so they go to ``%``.
+# Between them the decimal exponent e is -34..56.
+_CLAMPS = (9.99999999999999e-34, 9.999999999999999e55)
+# Scaled values in [1e11, 1e12 - 1/2), as the unsigned distance of their bits
+# from those of 1e11.
+_SCALED_FROM = np.array(1e11).view(np.uint64)
+_SCALED_SPAN = np.array(1e12 - 0.5).view(np.uint64) - _SCALED_FROM
+
+
+def _scaling(e: int) -> tuple[float, float, float, float]:
+    """For exponent ``e``: the two factors of ``10**(11 - e)``, each an exact
+    power of ten up to ``10**22`` or else correctly rounded; the most a scaled
+    value may lie from its nearest integer and still round as the exact
+    product, ``1/2 - n * 2**-13`` for its ``n`` roundings, each off by under
+    ``2**-53`` of an ``s`` below ``2**40``; and 13 times the count of digits
+    before the point, plus 12.  %g writes fixed notation for exponents -4 to 11."""
+    first = max(-22, min(11 - e, 22))
+    second = 11 - e - first
+    roundings = 1 + (first < 0) + (second != 0) + (not 0 <= second <= 22)
+    before = 0 if -4 <= e < 0 else e + 1 if 0 <= e < 12 else 1
+    return (float(f"1e{first}"), float(f"1e{second}"), 0.5 - roundings * 2.0**-13,
+            13.0 * before + 12.0)
+
+
+def _frame(e: int) -> tuple[int, int]:
+    """The first and last words of a cell without its sign or digits: the
+    "0.0…" prefix of fixed notation from byte 1, the "e±XX" suffix at byte 19."""
+    prefix = b"\0" + b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b""
+    suffix = b"" if -4 <= e < 12 else b"e%+03d" % e
+    return int.from_bytes(prefix, "little"), int.from_bytes(suffix, "little") << 24
+
+
+def _signed(rows: np.ndarray) -> np.ndarray:
+    """Rows by exponent e = -40..59 at row k = e + 40, then the same rows in
+    reverse order: ``take(mode="wrap")`` reads row -k, a value's row when its
+    sign bit is set, as row 200 - k."""
+    return np.concatenate([rows, rows[:1], rows[:0:-1]])
+
+
+_SCALING = _signed(np.array([_scaling(e) for e in range(-40, 60)]))
+_FRAME = _signed(np.array([_frame(e) for e in range(-40, 60)], dtype=np.uint64))
+_FRAME[100:, 0] |= np.uint64(ord("-"))
 
 # The four ASCII digits of 0..9999 as little-endian words, and how many of
 # them are trailing zeros (4 for 0000), both laid out by indexing alone.
@@ -67,34 +115,26 @@ _QUAD_ZEROS[0, 0, 0, 0] = 4
 _QUAD_ZEROS = _QUAD_ZEROS.ravel()
 
 
-def _words(numbers: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """128-bit integers as their low and high 64-bit words."""
-    return (
-        np.array([n & (2**64 - 1) for n in numbers], dtype=np.uint64),
-        np.array([n >> 64 for n in numbers], dtype=np.uint64),
-    )
+def _point_masks() -> np.ndarray:
+    """Per row ``13 * before + significant`` (both 0..12), masks on the 12
+    digits as a 16-byte little-endian string, each as a low and a high word:
+    the bytes that stay, the bytes that move up one to make room for the
+    point, and the point.  Zeros after the last ``significant`` digit are cut
+    unless they come before the point; a point follows the first ``before``
+    digits where a digit is left after them."""
+    rows = bytearray()
+    for before in range(13):
+        for significant in range(13):
+            kept = max(significant, before)
+            point = before if significant > before else 0
+            ahead = point or kept
+            rows += (b"\xff" * ahead).ljust(16, b"\0")
+            rows += (bytes(ahead) + b"\xff" * (kept - ahead)).ljust(16, b"\0")
+            rows += (bytes(point) + b"." if point else b"").ljust(16, b"\0")
+    return np.frombuffer(bytes(rows), dtype=np.uint64).reshape(169, 6)
 
 
-# The 12 digits are a 16-byte little-endian string held in two words.  _KEEP[k]
-# masks its first k bytes; _STAY[p] and _DOT[p] insert "." after byte p, and
-# p = 0 means no point.
-_KEEP_LO, _KEEP_HI = _words([2 ** (8 * k) - 1 for k in range(13)])
-_STAY_LO, _STAY_HI = _words([2**128 - 1] + [2 ** (8 * p) - 1 for p in range(1, 13)])
-_DOT_LO, _DOT_HI = _words([0] + [ord(".") << (8 * p) for p in range(1, 13)])
-
-# Per decimal exponent -64..63 (index exponent + 64): the "0.0…" prefix at
-# byte 1 of a cell, the digits before the point, and the "e±XX" suffix at
-# byte 19.  %g writes fixed notation for exponents -4 to 11.
-_EXPONENTS = range(-64, 64)
-_PREFIX = np.array(
-    [int.from_bytes(b"0." + b"0" * (-e - 1), "little") << 8 if -4 <= e < 0 else 0
-     for e in _EXPONENTS], dtype=np.uint64,
-)
-_BEFORE_POINT = np.array([0 if -4 <= e < 0 else e + 1 if 0 <= e < 12 else 1 for e in _EXPONENTS])
-_SUFFIX = np.array(
-    [0 if -4 <= e < 12 else int.from_bytes(b"e%+03d" % e, "little") << 24 for e in _EXPONENTS],
-    dtype=np.uint64,
-)
+_POINT_MASKS = _point_masks()
 
 
 class CsvParseError(ValueError):
@@ -105,92 +145,103 @@ def format_float(value: float) -> str:
     return _FLOAT_FORMAT % float(value)
 
 
-def _scaled(magnitude: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """``magnitude * 10**(11 - exponent)`` in at most two correctly rounded
-    multiplies, or divides where ``exponent > 11``, each by an exact power of
-    ten while ``|11 - exponent| <= 44``."""
-    shift = np.clip(11 - exponent, -44, 44) + 44
-    first, second = _FIRST_POWER[shift], _SECOND_POWER[shift]
-    scaled = magnitude * first * second
-    down = np.flatnonzero(exponent > 11)
-    scaled[down] = magnitude[down] / first[down] / second[down]
-    return scaled
+class _CellFormatter:
+    """The bulk cell formatter, for up to ``size`` values a call.  Its work
+    arrays are made once and every step writes to one of them through
+    ``out=``, so block after block faults in no fresh memory."""
 
+    def __init__(self, size: int) -> None:
+        self._floats = np.empty((2, size))
+        self._ints = np.empty((5, size), dtype=np.intp)
+        self._words = np.empty((4, size), dtype=np.uint64)
+        self._flags = np.empty((2, size), dtype=bool)
+        # Up to six words a value, for the rows of one table after another.
+        self._rows = np.empty(6 * size, dtype=np.uint64)
 
-def _significands(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(digits, exponent, exact)``: ``|value|`` rounded to 12 significant
-    digits as ``digits * 10**(exponent - 11)``, and where those are the digits
-    ``%`` prints; elsewhere they are meaningless."""
-    magnitude = np.abs(np.where(np.isfinite(values), values, 0.0))
-    exact = (magnitude >= 1e-33) & (magnitude < 1e56)
-    magnitude[~exact] = 1.0
-    exponent = np.floor(np.log10(magnitude)).astype(np.intp)
-    scaled = _scaled(magnitude, exponent)
-    off = np.flatnonzero((scaled < 1e11) | (scaled >= 1e12))
-    exponent[off] += np.where(scaled[off] < 1e11, -1, 1)
-    scaled[off] = _scaled(magnitude[off], exponent[off])
-    # A computed s in [1e11, 1e12] is within 2.5e-4 of the exact one, so even
-    # when the exact one sits just across a decade edge, rounding s and then
-    # carrying 10**12 gives the exact value's digits.
-    exact &= (scaled >= 1e11) & (scaled <= 1e12) & (np.abs(11 - exponent) <= 44)
-    # Two steps of relative error u = 2**-53 put s within (2u + u**2)·s, under
-    # 2.01 ulp(s), of the exact product.  4 ulp from every tie k + 1/2 keeps
-    # both on the same side of it, so rint(s) is the correct rounding.
-    exact &= np.abs(scaled - np.floor(scaled) - 0.5) > 4 * np.spacing(scaled)
-    digits = np.rint(np.where(exact, scaled, 1e11)).astype(np.int64)
-    carry = digits == 10**12
-    digits[carry] = 10**11
-    exponent += carry
-    return digits, exponent, exact
+    def __call__(self, values: np.ndarray, fields: np.ndarray, separator: str) -> None:
+        """Write three little-endian words per float64 value to ``fields``, an
+        ``(n, 3)`` word array whose rows may lie apart: the text of
+        ``'%.12g' % value`` with NUL bytes inside and after it, and
+        ``separator`` as the last byte.
 
-
-def _digit_words(digits: np.ndarray, before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 12 ``digits`` as text with trailing zeros cut, and a point after
-    the first ``before`` of them where a fraction digit is left (``before`` 0:
-    no point), as the low and high words of a 13-byte string."""
-    high, rest = np.divmod(digits, 10**8)
-    middle, low = np.divmod(rest, 10**4)
-    zeros = _QUAD_ZEROS[low]
-    whole = np.flatnonzero(low == 0)
-    zeros[whole] = 4 + np.where(middle[whole] != 0, _QUAD_ZEROS[middle[whole]],
-                                4 + _QUAD_ZEROS[high[whole]])
-    significant = 12 - zeros
-    # Without fraction digits there is no point, and integer zeros stay.
-    point = np.where(significant > before, before, 0)
-    kept = np.maximum(significant, before)
-    lo = (_QUAD_TEXT[high] | _QUAD_TEXT[middle] << 32) & _KEEP_LO[kept]
-    hi = _QUAD_TEXT[low] & _KEEP_HI[kept]
-    stay_lo, stay_hi = _STAY_LO[point], _STAY_HI[point]
-    moved = lo & ~stay_lo
-    return (
-        lo & stay_lo | _DOT_LO[point] | moved << 8,
-        hi & stay_hi | _DOT_HI[point] | (hi & ~stay_hi) << 8 | moved >> 56,
-    )
+        Byte layout: sign, "0.0…" prefix (1-5), digits and point (6-18),
+        exponent (19-22), separator (23).  Deleting the NULs leaves the text.
+        """
+        n = values.size
+        clamped, scaled = self._floats[:, :n]
+        row, digits, top, middle, low = self._ints[:, :n]
+        lo, hi, word, spare = self._words[:, :n]
+        exact, flag = self._flags[:, :n]
+        scaling, masks, frame = (self._rows[: width * n].reshape(n, width) for width in (4, 6, 2))
+        scaling = scaling.view(float)
+        # The row of the exponent e, truncated from log10 and signed, and
+        # s = |v| * 10**(11 - e).  rint(s) is exact where s is in
+        # [1e11, 1e12 - 1/2) and nearer an integer than the row's bound.
+        np.fmin(np.fmax(np.abs(values, out=clamped), _CLAMPS[0], out=clamped), _CLAMPS[1],
+                out=clamped)
+        np.add(np.log10(clamped, out=scaled), 40.0, out=scaled)
+        np.copyto(row, np.copysign(scaled, values, out=scaled), casting="unsafe")
+        _SCALING.take(row, axis=0, out=scaling, mode="wrap")
+        np.multiply(clamped, scaling[:, 0], out=scaled)
+        np.multiply(scaled, scaling[:, 1], out=scaled)
+        np.less(np.subtract(scaled.view(np.uint64), _SCALED_FROM, out=word), _SCALED_SPAN,
+                out=exact)
+        rounded = np.rint(scaled, out=clamped)
+        np.copyto(digits, rounded, casting="unsafe")
+        np.abs(np.subtract(scaled, rounded, out=scaled), out=scaled)
+        exact &= np.less(scaled, scaling[:, 2], out=flag)
+        # The 12 digits as three groups of four, and their trailing zeros.
+        np.floor_divide(digits, 10**8, out=top)
+        np.subtract(digits, np.multiply(top, 10**8, out=low), out=digits)
+        np.floor_divide(digits, 10**4, out=middle)
+        np.subtract(digits, np.multiply(middle, 10**4, out=low), out=low)
+        zeros = _QUAD_ZEROS.take(low, out=digits, mode="clip")
+        whole = np.flatnonzero(np.equal(low, 0, out=flag))
+        if whole.size:
+            zeros[whole] += _QUAD_ZEROS.take(middle[whole])
+            empty = whole[middle[whole] == 0]
+            zeros[empty] += _QUAD_ZEROS.take(top[empty], mode="clip")
+        # Their text, a 16-byte string in the words lo and hi, cut and with
+        # the point moved in by one row of masks: stay, move and point, each
+        # a low and a high word.
+        _QUAD_TEXT.take(top, out=lo, mode="clip")
+        np.left_shift(_QUAD_TEXT.take(middle, out=word, mode="clip"), 32, out=word)
+        np.bitwise_or(lo, word, out=lo)
+        _QUAD_TEXT.take(low, out=hi, mode="clip")
+        _POINT_MASKS.take(np.subtract(scaling[:, 3], zeros, out=top, casting="unsafe"), axis=0,
+                          out=masks, mode="clip")
+        np.bitwise_and(lo, masks[:, 2], out=word)
+        np.bitwise_and(lo, masks[:, 0], out=lo)
+        np.bitwise_or(lo, masks[:, 4], out=lo)
+        np.bitwise_or(lo, np.left_shift(word, 8, out=spare), out=lo)
+        np.bitwise_and(hi, masks[:, 3], out=spare)
+        np.bitwise_or(np.right_shift(word, 56, out=word), np.left_shift(spare, 8, out=spare),
+                      out=word)
+        np.bitwise_and(hi, masks[:, 1], out=hi)
+        np.bitwise_or(hi, masks[:, 5], out=hi)
+        np.bitwise_or(hi, word, out=hi)
+        # The frame of sign and prefix, and of suffix and separator, around the
+        # text from byte 6 on; then the values that go to ``%``.
+        (_FRAME | np.array([0, ord(separator) << 56], dtype=np.uint64)).take(
+            row, axis=0, out=frame, mode="wrap")
+        np.bitwise_or(frame[:, 0], np.left_shift(lo, 48, out=word), out=fields[:, 0])
+        np.bitwise_or(np.right_shift(lo, 16, out=lo), np.left_shift(hi, 48, out=word),
+                      out=fields[:, 1])
+        np.bitwise_or(np.right_shift(hi, 16, out=hi), frame[:, 1], out=fields[:, 2])
+        fallback = np.flatnonzero(np.logical_not(exact, out=flag))
+        if fallback.size:
+            fields.view(np.uint8)[fallback, :23] = (
+                np.array([_FLOAT_FORMAT % value for value in values[fallback].tolist()],
+                         dtype="S23").view(np.uint8).reshape(-1, 23)
+            )
 
 
 def _cell_fields(values: np.ndarray, separator: str) -> np.ndarray:
-    """Three little-endian words (24 bytes) per value: the text of
-    ``'%.12g' % value`` with NUL bytes inside and after it, and ``separator``
-    as the last byte.
-
-    Byte layout: sign, "0.0…" prefix (1-5), digits and point (6-18),
-    exponent (19-22), separator (23).  Deleting the NULs leaves the text.
-    """
-    values = np.asarray(values, dtype=float)
-    digits, exponent, exact = _significands(values)
-    row = np.clip(exponent, -64, 63) + 64
-    lo, hi = _digit_words(digits, _BEFORE_POINT[row])
-    fields = np.empty((values.size, 3), dtype="<u8")
-    fields[:, 0] = _PREFIX[row] | np.signbit(values).astype(np.uint64) * ord("-") | lo << 48
-    fields[:, 1] = lo >> 16 | hi << 48
-    fields[:, 2] = hi >> 16 | _SUFFIX[row]
-    text = fields.view(np.uint8)
-    fallback = np.flatnonzero(~exact)
-    text[fallback, :23] = (
-        np.array([_FLOAT_FORMAT % value for value in values[fallback].tolist()], dtype="S23")
-        .view(np.uint8).reshape(-1, 23)
-    )
-    text[:, 23] = ord(separator)
+    """Three little-endian words (24 bytes) per value, written by
+    :class:`_CellFormatter`."""
+    values = np.asarray(values, dtype=float).ravel()
+    fields = np.empty((values.size, 3), dtype=np.uint64)
+    _CellFormatter(values.size)(values, fields, separator)
     return fields
 
 
@@ -205,20 +256,27 @@ def _packed(fields: np.ndarray) -> np.ndarray:
 
 def _write_file(
     path: str | Path, header: tuple[str, ...], comments: tuple[str, ...], count: int,
-    block: Callable[[int, int], list[np.ndarray]], trailer_comments: tuple[str, ...] = (),
+    width: int, fill: Callable[[int, np.ndarray], None], trailer_comments: tuple[str, ...] = (),
 ) -> None:
     """Write a table file: ``# `` ``comments``, the header, ``count`` data
     lines and ``# `` ``trailer_comments``.  The data lines go to the file's
-    byte layer ``_BLOCK_LINES`` at a time; ``block(start, stop)`` gives the
-    fields of those lines as rows of words, left to right, which make up the
-    lines once their NUL bytes are deleted."""
+    byte layer ``_BLOCK_LINES`` at a time, through one array of ``width``
+    words per line: ``fill(start, lines)`` writes the words of the lines from
+    ``start`` on to ``lines``, which make up those lines once their NUL bytes
+    are deleted.  The array is a view of a ``bytearray`` whose ``translate``
+    deletes them, with no copy in between; the unused lines of a short last
+    block are zeroed, so they vanish with the NULs."""
+    text = bytearray(8 * width * min(count, _BLOCK_LINES))
+    lines = np.frombuffer(text, dtype=np.uint64).reshape(-1, width)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(f"# {comment}\n" for comment in comments)
         csv.writer(handle, lineterminator="\n").writerow(header)
         handle.flush()
         for start in range(0, count, _BLOCK_LINES):
-            lines = np.hstack(block(start, min(start + _BLOCK_LINES, count)))
-            handle.buffer.write(lines.tobytes().translate(None, b"\0"))
+            block = lines[: count - start]
+            fill(start, block)
+            lines[len(block):] = 0
+            handle.buffer.write(text.translate(None, b"\0"))
         handle.writelines(f"# {comment}\n" for comment in trailer_comments)
 
 
@@ -241,10 +299,13 @@ def write_table(
     if any(array.ndim != 1 or array.size != length for array in arrays):
         raise ValueError("all columns must be 1-D and equally long")
     separators = [","] * (len(arrays) - 1) + ["\n"]
-    _write_file(path, header, comments, length, lambda start, stop: [
-        _cell_fields(array[start:stop], separator)
-        for array, separator in zip(arrays, separators)
-    ], trailer_comments)
+    cells = _CellFormatter(min(length, _BLOCK_LINES))
+
+    def fill(start: int, lines: np.ndarray) -> None:
+        for place, (array, separator) in enumerate(zip(arrays, separators)):
+            cells(array[start:start + len(lines)], lines[:, 3 * place:3 * place + 3], separator)
+
+    _write_file(path, header, comments, length, 3 * len(arrays), fill, trailer_comments)
 
 
 def write_grid(
@@ -262,16 +323,28 @@ def write_grid(
     if len(header) != 3 or row_axis.ndim != 1 or column_axis.ndim != 1 or matrix.shape != shape:
         raise ValueError("write_grid takes 3 header names, 1-D axes and a matrix shaped by them")
     # Each axis value is formatted once, packed to the axis's longest text.
-    rows = _packed(_cell_fields(row_axis, ","))
-    columns = _packed(_cell_fields(column_axis, ","))
-    cells = matrix.ravel()
+    row_text = _packed(_cell_fields(row_axis, ","))
+    column_text = _packed(_cell_fields(column_axis, ","))
+    cells = np.asarray(matrix, dtype=float).ravel()
+    block = min(cells.size, _BLOCK_LINES)
+    # A block that starts at column c of row r takes the lines from c on of
+    # these, one matrix row longer than a block: the column texts in turn,
+    # and the rows after r.
+    width = max(shape[1], 1)
+    span = np.arange(block + shape[1])
+    column_lines, rows_on = column_text[span % width], span // width
+    row_words = row_text.shape[1]
+    axis_words = row_words + column_text.shape[1]
+    formatter = _CellFormatter(block)
 
-    def block(start: int, stop: int) -> list[np.ndarray]:
-        row, column = np.divmod(np.arange(start, stop), shape[1])
-        return [rows.take(row, axis=0), columns.take(column, axis=0),
-                _cell_fields(cells[start:stop], "\n")]
+    def fill(start: int, lines: np.ndarray) -> None:
+        row, column = divmod(start, width)
+        count = len(lines)
+        np.take(row_text, rows_on[column:column + count] + row, axis=0, out=lines[:, :row_words])
+        lines[:, row_words:axis_words] = column_lines[column:column + count]
+        formatter(cells[start:start + count], lines[:, axis_words:], "\n")
 
-    _write_file(path, header, comments, cells.size, block)
+    _write_file(path, header, comments, cells.size, axis_words + 3, fill)
 
 
 def _header(lines: Iterator[str]) -> tuple[str, ...]:

@@ -252,7 +252,10 @@ def _initial_lorentzian_guess(
     fwhm = right - left
     if not (np.isfinite(fwhm) and fwhm > 0.0):
         fwhm = 5.0 * float(np.median(np.diff(wavelengths)))
-    outside = np.abs(wavelengths - center) > _ISOLATION_HALFWIDTHS * fwhm
+    # A window wider than float range puts far samples an infinite distance
+    # away, which still counts them as outside.
+    with np.errstate(over="ignore"):
+        outside = np.abs(wavelengths - center) > _ISOLATION_HALFWIDTHS * fwhm
     if np.any(magnitude[outside] >= _ISOLATION_FRACTION * abs(amplitude)):
         raise ValueError(
             "fit window holds more than one resonance-scale feature; "

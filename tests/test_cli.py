@@ -460,6 +460,16 @@ class TestFit:
             "fit_report.csv": "663b08b86577ddbd5eed55769ea18b9e2007123dd553ea5a8b916c142081d469",
         }
 
+    def test_window_past_float_range_does_not_converge(self, tmp_path, capsys):
+        # 21 wavelengths from -1.5e308 to 1.5e308 with the peak on the first:
+        # distances from it pass float range.
+        table = tmp_path / "huge.csv"
+        lines = [f"{k * 1.5e307:.12g},{1.0 if k == -10 else 0.2}" for k in range(-10, 11)]
+        table.write_text("wavelength_nm,drop\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["fit", str(table), "--model", "lorentzian", "--out", str(tmp_path / "run")]
+        assert main(argv) == 3
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text, column",
         [

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import comment_lines, peak_allocation
 
+from loopfwm.config import default_config_text, parse_config
 from loopfwm.csvio import (
     _BLOCK_LINES,
     CsvParseError,
@@ -18,6 +19,8 @@ from loopfwm.csvio import (
     write_grid,
     write_table,
 )
+from loopfwm.jsd import simulate_jsd_scan
+from loopfwm.ring import linewidth_ghz
 
 
 class TestRoundTrip:
@@ -526,6 +529,25 @@ class TestGridWriter:
         write_grid(tmp_path / "grid.csv", self.HEADER, edges, -edges, matrix)
         columns = (np.repeat(edges, edges.size), np.tile(-edges, edges.size), matrix.ravel())
         assert (tmp_path / "grid.csv").read_bytes() == per_cell_text(self.HEADER, columns)
+
+    def test_default_scan_peaks_at_its_blocks(self, tmp_path):
+        # The writer holds one block's line and work arrays and its text,
+        # 2.02 MB at its peak; the fields of the whole 601 x 601 scan at once
+        # would take 8.7 MB alone.
+        config = parse_config(default_config_text())
+        grid, triplet = config.jsd_grid, config.triplet
+        matrix = simulate_jsd_scan(
+            grid, triplet, config.pump_linewidth_ghz,
+            linewidth_ghz(triplet.signal_nm, config.geometry, config.coupling),
+            linewidth_ghz(triplet.idler_nm, config.geometry, config.coupling),
+            config.jsd_resolution_pm,
+        )
+        axes = grid.signal.wavelengths_nm(), grid.idler.wavelengths_nm()
+        _, peak = peak_allocation(
+            lambda: write_grid(tmp_path / "jsd_scan.csv", self.HEADER, *axes, matrix)
+        )
+        assert (tmp_path / "jsd_scan.csv").stat().st_size > 12_000_000
+        assert peak <= 3_000_000
 
     @pytest.mark.parametrize(
         "header, rows, columns, matrix",

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import peak_allocation
 
 from loopfwm.config import default_config_text, parse_config
 from loopfwm.fwm import FwmTriplet, idler_wavelength
-from loopfwm.instrument import MAX_GRID_POINTS
+from loopfwm.instrument import MAX_GRID_POINTS, gaussian_kernel
 import loopfwm.jsd as jsd_module
 from loopfwm.jsd import (
     _idler_cell_mean,
@@ -35,7 +36,7 @@ from loopfwm.jsd import (
     simulate_jsd_scan,
     two_photon_pump_lineshape,
 )
-from loopfwm.ring import SPEED_OF_LIGHT_NM_GHZ
+from loopfwm.ring import SPEED_OF_LIGHT_NM_GHZ, linewidth_ghz
 
 CONFIG = parse_config(default_config_text())
 GAMMA_GHZ = 70.0
@@ -209,10 +210,13 @@ class TestSchmidt:
         assert result.purity == pytest.approx(0.5, abs=1e-10)
         assert result.schmidt_number == pytest.approx(2.0, abs=1e-9)
 
-    def test_underflowing_singular_values_rejected(self):
-        # Each singular value is 2e-200; its square underflows to 0.
+    def test_underflowing_singular_values_are_pure(self):
+        # The one singular value is 2e-200, whose square underflows to 0.
+        result = schmidt(self.random_joint(np.full((2, 2), 1e-200)))
+        assert result.purity == pytest.approx(1.0, abs=1e-12)
+        assert result.singular_values[0] == pytest.approx(2e-200, rel=1e-12)
         with pytest.raises(ValueError, match="identically zero"):
-            schmidt(self.random_joint(np.full((2, 2), 1e-200)))
+            schmidt(self.random_joint(np.zeros((2, 2))))
 
     def test_matches_trace_oracle(self):
         rng = np.random.default_rng(41)
@@ -551,6 +555,130 @@ class TestCellMean:
             * abs(complex(resonance_lineshape(y, idler_linewidth))) ** 2
         )
         assert got[0, 0] == pytest.approx(point, rel=1e-9)
+
+
+def whole_matrix_scan(grid, triplet, pump_linewidth_ghz, signal_linewidth_ghz,
+                      idler_linewidth_ghz, resolution_fwhm_pm) -> np.ndarray:
+    """``simulate_jsd_scan``'s arithmetic step for step on whole matrices, with
+    the pump floor of the whole scan and the blur of the whole padded matrix:
+    the reference its row blocks must match bit for bit."""
+    signal_axis = grid.signal.wavelengths_nm()
+    idler_axis = grid.idler.wavelengths_nm()
+    step_nm = grid.idler.step_nm
+    edges = detuning_ghz(
+        np.append(idler_axis - step_nm / 2.0, idler_axis[-1] + step_nm / 2.0), triplet.idler_nm
+    )
+    omega_s = detuning_ghz(signal_axis, triplet.signal_nm)
+    shift = (omega_s - float(SPEED_OF_LIGHT_NM_GHZ * triplet.energy_residual_per_nm))[:, None]
+    low, high = edges[1:], edges[:-1]
+    d, h = pump_linewidth_ghz, idler_linewidth_ghz / 2.0
+    floor = jsd_module._LINEAR_PUMP * (
+        h + max(float(np.max(np.abs(part))) for part in (shift, low, high))
+    )
+    scale = None
+    if d < floor:
+        d, scale = floor, d / floor
+
+    def log1p_over(z, p, q):
+        x, y = z.real, z.imag
+        with np.errstate(over="ignore"):
+            t = x * (2.0 + x) + y * y
+        far = np.unravel_index(np.flatnonzero((t < -0.5) | np.isinf(t)), z.shape)
+        t[far] = 0.0
+        log1p = 0.5 * np.log1p(t, out=t) + 1j * np.arctan2(y, 1.0 + x)
+        p, q, lo, hi = (np.broadcast_to(v, z.shape)[far] for v in (p, q, low, high))
+        ratio = (hi - p) / (lo - p) * ((lo - q) / (hi - q))
+        log1p.real[far] = np.log(np.abs(ratio))
+        log1p.imag[far] = np.arctan2(ratio.imag, ratio.real)
+        return np.divide(log1p, z, out=np.ones_like(z), where=z != 0.0)
+
+    s = d + h
+    width = high - low
+    low_sum = low + shift
+    theta = np.arctan2(width, low_sum * (high + shift) / d + d)
+    pump = d / (low_sum - 1j * d)
+    idler = h / (high - 1j * h)
+    w = pump * ((1j * (d - h) - shift) / d) * (width / h * idler)
+    pair = d / (shift + 1j * s) * pump * log1p_over(w, 1j * d - shift, 1j * h)
+    mean = (d / s) / (1.0 + (shift / s) ** 2) * theta * (h / width) + (pair * idler).imag
+    mean = np.maximum(mean, 0.0, out=mean)
+    if scale is not None:
+        mean = mean * scale
+    signal_filter = np.abs(resonance_lineshape(omega_s, signal_linewidth_ghz)) ** 2
+    result = mean * signal_filter[:, None]
+    if resolution_fwhm_pm > 0.0:
+        count = idler_axis.size
+        kernel = gaussian_kernel(step_nm, resolution_fwhm_pm * 1e-3, max_halfwidth=(count - 1) // 2)
+        half = kernel.size // 2
+        padded = np.concatenate((result[:, count - half:], result, result[:, :half]), axis=1)
+        result = padded[:, half:half + count] * kernel[half]
+        for j in range(half, 0, -1):
+            left = padded[:, half - j:half - j + count]
+            right = padded[:, half + j:half + j + count]
+            result += (left + right) * kernel[half + j]
+    return result
+
+
+class TestScanBitIdentity:
+    """The row-block scan gives the bits of the whole-matrix arithmetic."""
+
+    DEFAULT = CONFIG.jsd_grid
+    # 121 signal rows far wider in frequency than 601 idler cells: 27-row
+    # blocks leave a short last one, and the blocks' own shift extents differ.
+    WIDE_SIGNAL = SpectralGrid(
+        signal=SpectralAxis(center_nm=CONFIG.triplet.signal_nm, span_nm=6.0, step_pm=50.0),
+        idler=SpectralAxis(center_nm=CONFIG.triplet.idler_nm, span_nm=0.6, step_pm=1.0),
+    )
+
+    @staticmethod
+    def settings(pump_linewidth_ghz, resolution_fwhm_pm):
+        """The scan's arguments after the grid: the default triplet and ring."""
+        triplet = CONFIG.triplet
+        return (
+            triplet,
+            pump_linewidth_ghz,
+            linewidth_ghz(triplet.signal_nm, CONFIG.geometry, CONFIG.coupling),
+            linewidth_ghz(triplet.idler_nm, CONFIG.geometry, CONFIG.coupling),
+            resolution_fwhm_pm,
+        )
+
+    def both(self, grid, pump_linewidth_ghz, resolution_fwhm_pm):
+        settings = self.settings(pump_linewidth_ghz, resolution_fwhm_pm)
+        return simulate_jsd_scan(grid, *settings), whole_matrix_scan(grid, *settings)
+
+    def test_default_grid(self):
+        got, reference = self.both(self.DEFAULT, CONFIG.pump_linewidth_ghz,
+                                   CONFIG.jsd_resolution_pm)
+        assert got.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("resolution_pm", [0.0, 67.0])
+    def test_short_last_block(self, resolution_pm):
+        rows = jsd_module._BLOCK_NODES // self.WIDE_SIGNAL.idler.size
+        assert 1 < rows < self.WIDE_SIGNAL.signal.size
+        assert self.WIDE_SIGNAL.signal.size % rows != 0
+        got, reference = self.both(self.WIDE_SIGNAL, CONFIG.pump_linewidth_ghz, resolution_pm)
+        assert got.tobytes() == reference.tobytes()
+
+    def test_default_grid_unblurred(self):
+        got, reference = self.both(self.DEFAULT, CONFIG.pump_linewidth_ghz, 0.0)
+        assert got.tobytes() == reference.tobytes()
+
+    def test_default_scan_allocates_row_blocks(self):
+        # The scan holds its 2.9 MB result and the work arrays of one row
+        # block, 4.65 MB at its peak; on whole matrices it peaks at 11.8 MB.
+        settings = self.settings(CONFIG.pump_linewidth_ghz, CONFIG.jsd_resolution_pm)
+        got, peak = peak_allocation(lambda: simulate_jsd_scan(self.DEFAULT, *settings))
+        assert got.shape == (601, 601)
+        assert peak <= 7_000_000
+
+    @pytest.mark.parametrize("pump_linewidth", [1e-260, 1e-300])
+    def test_pump_below_the_linear_floor(self, pump_linewidth):
+        # The floor is _LINEAR_PUMP times the largest of h, |shift| and the
+        # edges over the whole scan; a block's own extent would give it a
+        # lower floor and other rounding.
+        got, reference = self.both(self.WIDE_SIGNAL, pump_linewidth, 67.0)
+        assert np.count_nonzero(got) > 0
+        assert got.tobytes() == reference.tobytes()
 
 
 class TestScanProperties:
