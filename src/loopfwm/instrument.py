@@ -9,15 +9,13 @@ bookkeeping at the 1e-4 level for typical windows.  The blur is plain
 numpy: the samples are wrap-padded by the kernel half-width and the
 short symmetric kernel is applied tap by tap, summed in the same order
 as ``scipy.ndimage.convolve1d(mode="wrap")`` so the two agree bit for bit.
-:func:`wrap_blur` does this for blocks of rows in two work arrays made
-once, so a caller that blurs each block as it makes it allocates nothing
-per block.
+Rows are blurred independently, so a caller may blur a matrix one block
+of rows at a time, into its own output, and get the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -119,58 +117,14 @@ def gaussian_kernel(step_nm: float, fwhm_nm: float, max_halfwidth: int | None = 
     return kernel / kernel.sum()
 
 
-def wrap_blur(
-    kernel: np.ndarray, count: int, rows: int
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The blur of :func:`convolve_conserving` as ``blur(values, out)``, for
-    up to ``rows`` rows of ``count`` samples at a time.
-
-    Its two work arrays, the wrap-padded rows and a sum of two taps, are made
-    once, so a long matrix blurred block by block in a loop faults in fresh
-    memory once rather than once per block.  ``blur`` writes ``values``
-    blurred along the last axis to ``out`` and returns it; the two must not
-    overlap.
-
-    Raises
-    ------
-    ValueError
-        If the kernel is even-length, asymmetric, or longer than ``count``.
-    """
-    kernel = np.asarray(kernel, dtype=float)
-    if kernel.ndim != 1 or kernel.size % 2 == 0:
-        raise ValueError(f"kernel must be 1-D and odd-length, got shape {kernel.shape}")
-    if not np.array_equal(kernel, kernel[::-1]):
-        raise ValueError("kernel must be symmetric")
-    if kernel.size > count:
-        raise ValueError(
-            f"kernel of {kernel.size} samples exceeds the {count}-sample grid"
-        )
-    half = kernel.size // 2
-    padded_rows = np.empty((rows, count + 2 * half))
-    pair_rows = np.empty((rows, count))
-
-    def blur(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        padded, pair = padded_rows[: len(values)], pair_rows[: len(values)]
-        padded[:, :half] = values[:, count - half:]
-        padded[:, half:half + count] = values
-        padded[:, half + count:] = values[:, :half]
-        np.multiply(padded[:, half:half + count], kernel[half], out=out)
-        for j in range(half, 0, -1):
-            np.add(padded[:, half - j:half - j + count], padded[:, half + j:half + j + count],
-                   out=pair)
-            np.multiply(pair, kernel[half + j], out=pair)
-            np.add(out, pair, out=out)
-        return out
-
-    return blur
-
-
-def convolve_conserving(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def convolve_conserving(
+    values: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Convolve along the last axis with wrap-around boundaries, conserving the sum.
 
     For a unit-sum kernel the output sum equals the input sum to machine
     precision, because every input sample is redistributed rather than
-    partially lost off the edges.  A 2-D array is blurred row by row.
+    partially lost off the edges.
 
     The kernel must be odd-length and exactly symmetric, as every
     :func:`gaussian_kernel` is; convolution and correlation then coincide.
@@ -178,9 +132,9 @@ def convolve_conserving(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     is ``v[i]*w[0] + sum((v[i-j] + v[i+j])*w[j])`` with ``j`` running down
     from the half-width to 1, the summation order of scipy's symmetric
     ``convolve1d`` path, so results match ``convolve1d(mode="wrap")``
-    exactly.  Every row is independent, so :func:`wrap_blur`, which does the
-    work here in one block, gives the same bits on any block of rows:
-    :func:`loopfwm.jsd.simulate_jsd_scan` blurs each row block as it is made.
+    exactly.  Each row is blurred on its own, so a block of rows gets the
+    bits of the whole array, and the kernel ``[1.0]`` copies its input.
+    ``out`` receives the result, bit for bit, and may be ``values`` itself.
 
     Raises
     ------
@@ -189,6 +143,20 @@ def convolve_conserving(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         grid along the last axis.
     """
     values = np.asarray(values, dtype=float)
-    rows = values.reshape(-1, values.shape[-1])
-    blur = wrap_blur(kernel, rows.shape[1], len(rows))
-    return blur(rows, np.empty_like(rows)).reshape(values.shape)
+    kernel = np.asarray(kernel, dtype=float)
+    count = values.shape[-1]
+    if kernel.ndim != 1 or kernel.size % 2 == 0:
+        raise ValueError(f"kernel must be 1-D and odd-length, got shape {kernel.shape}")
+    if not np.array_equal(kernel, kernel[::-1]):
+        raise ValueError("kernel must be symmetric")
+    if kernel.size > count:
+        raise ValueError(f"kernel of {kernel.size} samples exceeds the {count}-sample grid")
+    half = kernel.size // 2
+    padded = np.concatenate((values[..., count - half:], values, values[..., :half]), axis=-1)
+    out = np.multiply(padded[..., half:half + count], kernel[half], out=out)
+    pair = np.empty_like(out)
+    for j in range(half, 0, -1):
+        np.add(padded[..., half - j:half - j + count], padded[..., half + j:half + j + count],
+               out=pair)
+        out += np.multiply(pair, kernel[half + j], out=pair)
+    return out

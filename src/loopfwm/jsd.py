@@ -48,8 +48,8 @@ from loopfwm.instrument import (
     MAX_GRID_POINTS,
     centered_count,
     centered_grid,
+    convolve_conserving,
     gaussian_kernel,
-    wrap_blur,
 )
 from loopfwm.ring import SPEED_OF_LIGHT_NM_GHZ
 
@@ -313,8 +313,7 @@ _FIRST_PANEL = 1.0
 #: Most graded panels on each side of a feature (3**16 spans 4.3e7 widths);
 #: one more panel reaches the end of the window.
 _PANEL_LEVELS = 16
-#: Most idler-pair nodes, or scan cells, evaluated at once; blocks this small
-#: stay in cache, and the scan's blocks reuse their work arrays.
+#: Most idler-pair nodes, or scan cells, evaluated at once: blocks this small stay in cache.
 _BLOCK_NODES = 1 << 14
 #: Widths, in idler half widths, past which a Lorentzian tail holds less than
 #: 1e-30 of its line: windows are cut there, the pump linewidth held within
@@ -567,7 +566,8 @@ def ridge_fit(
     if not np.any(mass > 0.0):
         raise ValueError("intensity matrix is identically zero")
     keep = mass > 0.0
-    centroids = matrix[keep] @ idler_nm / mass[keep]
+    # OpenBLAS blocks gemv by rows: the kept rows' product is no slice of the whole's.
+    centroids = (matrix if keep.all() else matrix[keep]) @ idler_nm / mass[keep]
     slope, intercept, _ = weighted_line(signal_nm[keep], centroids, mass[keep])
 
     predicted = intercept + slope * signal_nm[:, None]
@@ -715,11 +715,10 @@ def simulate_jsd_scan(
 
     The rows are made in blocks of at most :data:`_BLOCK_NODES` cells; each
     block's cell means, signal filter and blur run in turn while it is in
-    cache.  Their intermediates go through ``out=`` to work arrays made once
-    per call, so the scan faults in fresh memory once, not once per block:
-    on the default grid it allocates 1.8 MB beside its result.  Every step
-    is the one the whole matrix would take, element by element, so the bits
-    do not depend on the blocks.
+    cache.  The cell means reuse work arrays made once per call, and the blur
+    writes each block into the result: on the default grid the scan
+    allocates 1.8 MB beside it.  Every step is the one the whole matrix would
+    take, element by element, so the bits do not depend on the blocks.
 
     Parameters
     ----------
@@ -779,13 +778,12 @@ def simulate_jsd_scan(
         resonance_lineshape(omega_s, signal_linewidth_ghz)
     ) ** 2
     result = np.empty((signal_axis.size, idler_axis.size))
-    blur = None
+    # Without a blur the one-tap kernel copies each row exactly.
+    kernel = np.ones(1)
     if resolution_fwhm_pm > 0.0:
-        n_idler = idler_axis.size
         kernel = gaussian_kernel(
-            step_nm, resolution_fwhm_pm * 1e-3, max_halfwidth=(n_idler - 1) // 2
+            step_nm, resolution_fwhm_pm * 1e-3, max_halfwidth=(idler_axis.size - 1) // 2
         )
-        blur = wrap_blur(kernel, n_idler, max(1, _BLOCK_NODES // n_idler))
     for rows, mean in _cell_mean_blocks(
         (omega_s - sum_offset)[:, None],
         edges[1:],
@@ -793,7 +791,6 @@ def simulate_jsd_scan(
         pump_linewidth_ghz,
         idler_linewidth_ghz / 2.0,
     ):
-        np.multiply(mean, signal_filter[rows, None], out=mean if blur else result[rows])
-        if blur:
-            blur(mean, result[rows])
+        np.multiply(mean, signal_filter[rows, None], out=mean)
+        convolve_conserving(mean, kernel, out=result[rows])
     return result

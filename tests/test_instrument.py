@@ -138,6 +138,12 @@ class TestConvolution:
         with pytest.raises(ValueError, match="symmetric"):
             convolve_conserving(np.ones(64), kernel)
 
+    def test_one_tap_kernel_copies_its_input(self):
+        # The scan blurs with [1.0] when the resolution is zero.
+        values = np.array([[0.0, -0.0, 5e-324, 2.2250738585072014e-308],
+                           [1.0 / 3.0, -7.5, 1e300, np.finfo(float).max]])
+        assert convolve_conserving(values, np.ones(1)).tobytes() == values.tobytes()
+
     def test_gaussian_widths_add_in_quadrature(self):
         step = 0.005
         grid = centered_grid(0.0, 6.0, step)
@@ -154,7 +160,9 @@ class TestConvolution:
 
 @st.composite
 def blur_cases(draw):
-    """A 1-D spectrum or a 2-D stack of them, with a Gaussian kernel that fits."""
+    """A 1-D spectrum or a 2-D stack of them, with a Gaussian kernel that fits
+    or, one time in five, the one-tap kernel of no blur; and up to three cuts
+    that split the stack's rows into blocks, some of them maybe empty."""
     length = draw(st.integers(min_value=3, max_value=700))
     shape = draw(st.sampled_from([(length,), (draw(st.integers(1, 4)), length)]))
     values = draw(
@@ -163,17 +171,32 @@ def blur_cases(draw):
     step = draw(st.floats(min_value=1e-3, max_value=0.05))
     fwhm = draw(st.floats(min_value=1e-3, max_value=2.0))
     kernel = gaussian_kernel(step, fwhm, max_halfwidth=(length - 1) // 2)
-    return values, kernel
+    if draw(st.integers(0, 4)) == 0:
+        kernel = np.ones(1)
+    rows = values.size // length
+    cuts = sorted(draw(st.lists(st.integers(0, rows), max_size=3)))
+    return values, kernel, cuts
 
 
 class TestMatchesScipy:
     """The numpy blur reproduces ``scipy.ndimage.convolve1d(mode="wrap")``
-    bit for bit, so swapping one for the other changes no output byte."""
+    bit for bit, so swapping one for the other changes no output byte.  So
+    does every way the scan calls it: into ``out``, in place, and one block
+    of rows at a time."""
 
     @settings(deadline=None, max_examples=300)
     @given(case=blur_cases())
     def test_bitwise_equal_to_convolve1d(self, case):
-        values, kernel = case
-        got = convolve_conserving(values, kernel)
+        values, kernel, cuts = case
         expected = convolve1d(values, kernel, axis=-1, mode="wrap")
-        assert np.array_equal(got, expected)
+        out = np.full_like(values, np.nan)
+        assert convolve_conserving(values, kernel, out=out) is out
+        in_place = values.copy()
+        convolve_conserving(in_place, kernel, out=in_place)
+        rows = values.reshape(-1, values.shape[-1])
+        blocks = np.full_like(rows, np.nan)
+        bounds = [0, *cuts, len(rows)]
+        for start, stop in zip(bounds, bounds[1:]):
+            convolve_conserving(rows[start:stop], kernel, out=blocks[start:stop])
+        for got in (convolve_conserving(values, kernel), out, in_place, blocks):
+            assert got.tobytes() == expected.tobytes()

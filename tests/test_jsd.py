@@ -279,6 +279,18 @@ class TestRidgeFit:
             > ridge_fit(narrow, signal, idler).rms_width_nm
         )
 
+    def test_rows_without_mass_are_left_out(self):
+        rng = np.random.default_rng(5)
+        signal = np.linspace(1561.0, 1565.0, 9)
+        idler = np.linspace(1546.0, 1551.0, 11)
+        matrix = rng.uniform(0.0, 1.0, (9, 11))
+        matrix[[0, 4, 8]] = 0.0
+        keep = [1, 2, 3, 5, 6, 7]
+        fit = ridge_fit(matrix, signal, idler)
+        kept = ridge_fit(matrix[keep], signal[keep], idler)
+        for name in ("slope", "intercept_nm", "rms_width_nm"):
+            assert getattr(fit, name) == pytest.approx(getattr(kept, name), rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="shape"):
             ridge_fit(np.ones((3, 4)), np.arange(3.0), np.arange(5.0))
@@ -665,7 +677,7 @@ class TestScanBitIdentity:
 
     def test_default_scan_allocates_row_blocks(self):
         # The scan holds its 2.9 MB result and the work arrays of one row
-        # block, 4.65 MB at its peak; on whole matrices it peaks at 11.8 MB.
+        # block, 4.64 MB at its peak; on whole matrices it peaks at 11.8 MB.
         settings = self.settings(CONFIG.pump_linewidth_ghz, CONFIG.jsd_resolution_pm)
         got, peak = peak_allocation(lambda: simulate_jsd_scan(self.DEFAULT, *settings))
         assert got.shape == (601, 601)
