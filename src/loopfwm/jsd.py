@@ -566,8 +566,7 @@ def ridge_fit(
     if not np.any(mass > 0.0):
         raise ValueError("intensity matrix is identically zero")
     keep = mass > 0.0
-    # OpenBLAS blocks gemv by rows: the kept rows' product is no slice of the whole's.
-    centroids = (matrix if keep.all() else matrix[keep]) @ idler_nm / mass[keep]
+    centroids = (matrix @ idler_nm)[keep] / mass[keep]
     slope, intercept, _ = weighted_line(signal_nm[keep], centroids, mass[keep])
 
     predicted = intercept + slope * signal_nm[:, None]

@@ -160,9 +160,9 @@ class TestConvolution:
 
 @st.composite
 def blur_cases(draw):
-    """A 1-D spectrum or a 2-D stack of them, with a Gaussian kernel that fits
-    or, one time in five, the one-tap kernel of no blur; and up to three cuts
-    that split the stack's rows into blocks, some of them maybe empty."""
+    """A 1-D spectrum or a 2-D stack of them, with a Gaussian kernel that fits,
+    and up to three cuts that split the stack's rows into blocks, some of them
+    maybe empty."""
     length = draw(st.integers(min_value=3, max_value=700))
     shape = draw(st.sampled_from([(length,), (draw(st.integers(1, 4)), length)]))
     values = draw(
@@ -171,8 +171,6 @@ def blur_cases(draw):
     step = draw(st.floats(min_value=1e-3, max_value=0.05))
     fwhm = draw(st.floats(min_value=1e-3, max_value=2.0))
     kernel = gaussian_kernel(step, fwhm, max_halfwidth=(length - 1) // 2)
-    if draw(st.integers(0, 4)) == 0:
-        kernel = np.ones(1)
     rows = values.size // length
     cuts = sorted(draw(st.lists(st.integers(0, rows), max_size=3)))
     return values, kernel, cuts
