@@ -10,7 +10,8 @@ numpy: the samples are wrap-padded by the kernel half-width and the
 short symmetric kernel is applied tap by tap, summed in the same order
 as ``scipy.ndimage.convolve1d(mode="wrap")`` so the two agree bit for bit.
 Rows are blurred independently, so a caller may blur a matrix one block
-of rows at a time, into its own output, and get the same bits.
+of rows at a time, into its own output, and get the same bits.  A kernel
+that would reach past a caller's ``max_halfwidth`` is refused, not cut.
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ def gaussian_kernel(step_nm: float, fwhm_nm: float, max_halfwidth: int | None = 
         width much smaller than the grid step degenerates to the identity
         kernel.
     max_halfwidth : int, optional
-        Cap on the kernel half-width in samples (e.g. to keep the kernel
-        shorter than the data for wrap-around convolution).
+        Bound on the kernel half-width in samples, e.g. to keep the kernel
+        shorter than the data for wrap-around convolution.  A kernel that
+        needs more raises ``ValueError``; it is never cut to fit.
 
     Returns
     -------
@@ -107,11 +109,12 @@ def gaussian_kernel(step_nm: float, fwhm_nm: float, max_halfwidth: int | None = 
         # The nearest-neighbor weight exp(-1/(2*sigma^2)) is below 1e-21
         # here, so the kernel is the identity to machine precision.
         return np.array([1.0])
+    if max_halfwidth is not None and 4.0 * sigma_samples > max_halfwidth:
+        raise ValueError(
+            f"a resolution of {fwhm_nm * 1e3:g} pm FWHM reaches {4.0 * sigma_samples:.4g} "
+            f"samples each side, more than the {max_halfwidth} the grid holds"
+        )
     halfwidth = int(math.ceil(4.0 * sigma_samples))
-    if max_halfwidth is not None:
-        halfwidth = min(halfwidth, max_halfwidth)
-    if halfwidth == 0:
-        return np.array([1.0])
     offsets = np.arange(-halfwidth, halfwidth + 1, dtype=float)
     kernel = np.exp(-0.5 * (offsets / sigma_samples) ** 2)
     return kernel / kernel.sum()

@@ -20,10 +20,10 @@ Conventions
   intensity: ``c/lambda`` is linear across a cell to about 1e-5, so
   the mean is the integral of a product of two Lorentzians in the idler
   detuning between the cell edges, divided by the cell width, which
-  partial fractions give in closed form.  The blur is that of
-  :func:`loopfwm.instrument.convolve_conserving` along the idler axis,
-  with wrap-around edges so each row keeps its mass, applied to each block
-  of rows as soon as it is made.
+  partial fractions give in closed form (:func:`_cell_mean_blocks`).  The
+  blur is that of :func:`loopfwm.instrument.convolve_conserving` along the
+  idler axis, with wrap-around edges so each row keeps its mass, applied
+  to each block of rows as soon as it is made.
 * The same aliasing makes :func:`schmidt` of a sampled :func:`jsa` a grid
   artifact at a narrow pump.  :func:`schmidt_purity` instead integrates
   the signal detuning in closed form and the idler pair on panels graded
@@ -356,7 +356,7 @@ def _panels(edges: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
     return (middle + half * nodes).reshape(shape), (half * weights).reshape(shape)
 
 
-def _log1p_over(z: np.ndarray, p, q, low, high, out=None, work=None) -> np.ndarray:
+def _log1p_over(z: np.ndarray, p, q, low, high, out=None) -> np.ndarray:
     """``E(z) = log1p(z)/z`` for complex ``z``, with ``E(0) = 1``.
 
     A product of two Lorentzians integrated over ``[low, high]`` leaves, by
@@ -382,11 +382,11 @@ def _log1p_over(z: np.ndarray, p, q, low, high, out=None, work=None) -> np.ndarr
     broadcast against it.
 
     ``out``, a complex array shaped like ``z`` and not overlapping it, takes
-    the result, and ``work``, two real ones, the intermediates; each is made
-    where it is not given.  Every step runs on the same operands either way.
+    the result, and on the way ``t`` in its real part and the angle in its
+    imaginary part; it is made where it is not given.
     """
     out = np.empty_like(z) if out is None else out
-    t, angle = np.empty((2,) + z.shape) if work is None else work
+    t, angle = out.real, out.imag
     x, y = z.real, z.imag
     with np.errstate(over="ignore"):
         np.add(2.0, x, out=t)
@@ -396,7 +396,6 @@ def _log1p_over(z: np.ndarray, p, q, low, high, out=None, work=None) -> np.ndarr
     t[far] = 0.0
     np.multiply(0.5, np.log1p(t, out=t), out=t)
     np.arctan2(y, np.add(1.0, x, out=angle), out=angle)
-    np.add(t, np.multiply(1j, angle, out=out), out=out)
     p, q, low, high = (np.broadcast_to(v, z.shape)[far] for v in (p, q, low, high))
     ratio = (high - p) / (low - p) * ((low - q) / (high - q))
     out.real[far] = np.log(np.abs(ratio))
@@ -582,19 +581,21 @@ def ridge_fit(
 
 
 #: Pump linewidth, as a fraction of the largest width or detuning in play,
-#: below which the pump pole is on the real axis to within rounding and
-#: :func:`_idler_cell_mean` is linear in it.
+#: below which the pump pole is on the real axis to within rounding and the
+#: cell mean of :func:`_cell_mean_blocks` is linear in it.
 _LINEAR_PUMP = 1e-250
 
 
-def _idler_cell_mean(
+def _cell_mean_blocks(
     shift: np.ndarray,
     low: np.ndarray,
     high: np.ndarray,
     pump_linewidth_ghz: float,
     idler_half_width_ghz: float,
-) -> np.ndarray:
-    """Mean of ``|phi_2p(y + a)|^2 * |l_i(y)|^2`` over ``low <= y <= high``.
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield ``(rows, mean)``: the mean of ``|phi_2p(y + a)|^2 * |l_i(y)|^2``
+    over ``low <= y <= high`` for each ``a`` in ``shift[rows]``, for row blocks
+    of at most :data:`_BLOCK_NODES` cells in turn.
 
     With ``d = pump_linewidth_ghz``, ``h = idler_half_width_ghz`` and
     ``a = shift``, the integrand ``d^2 h^2 / (((y+a)^2 + d^2) (y^2 + h^2))``
@@ -619,31 +620,12 @@ def _idler_cell_mean(
     the real axis to within rounding, and the mean is linear in ``d``: it
     is ``pi*d*h^2/((a^2 + h^2) W)`` in the cell that holds the pole, and
     ``O(d^2)``, which underflows, elsewhere.  So such a ``d`` is evaluated
-    at that floor and the mean scaled down to it.
+    at that floor and the mean scaled down to it.  The floor comes from the
+    extent of the whole ``shift``, so every block is scaled alike.
 
-    ``shift`` is a column, one row per shift; it broadcasts against the edges.
-    """
-    out = np.empty(np.broadcast_shapes(np.shape(shift), np.shape(high)))
-    blocks = _cell_mean_blocks(shift, low, high, pump_linewidth_ghz, idler_half_width_ghz)
-    for rows, mean in blocks:
-        out[rows] = mean
-    return out
-
-
-def _cell_mean_blocks(
-    shift: np.ndarray,
-    low: np.ndarray,
-    high: np.ndarray,
-    pump_linewidth_ghz: float,
-    idler_half_width_ghz: float,
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield ``(rows, mean)``: :func:`_idler_cell_mean` of ``shift[rows]``, for
-    row blocks of at most :data:`_BLOCK_NODES` cells in turn.
-
-    Each block stays in cache.  Its intermediates go to work arrays made
-    once, through ``out=``, and ``mean`` is one of them: the next block
-    overwrites it.  The pump floor comes from the extent of the whole
-    ``shift``, so every block is scaled alike.
+    ``shift`` is a column, one row per shift, that broadcasts against the
+    edges.  Each block stays in cache: its work arrays are made once, and
+    ``mean`` is one of them, which the next block overwrites.
     """
     d = pump_linewidth_ghz
     h = idler_half_width_ghz
@@ -658,26 +640,25 @@ def _cell_mean_blocks(
     per_width = h / width
     rows = max(1, _BLOCK_NODES // np.size(high))
     shape = np.broadcast_shapes(np.shape(shift[:rows]), np.shape(high))
-    real = np.empty((4,) + shape)
+    real = np.empty((2,) + shape)
     complex_ = np.empty((3,) + shape, dtype=complex)
     for start in range(0, len(shift), rows):
         block = shift[start : start + rows]
-        low_sum, theta, ratio, angle = real[:, : len(block)]
+        low_sum, theta = real[:, : len(block)]
         pump, w, pair = complex_[:, : len(block)]
         np.add(low, block, out=low_sum)
-        np.add(high, block, out=ratio)
-        np.multiply(low_sum, ratio, out=ratio)
-        np.divide(ratio, d, out=ratio)
-        np.add(ratio, d, out=ratio)
-        np.arctan2(width, ratio, out=theta)
+        np.add(high, block, out=theta)
+        np.multiply(low_sum, theta, out=theta)
+        np.divide(theta, d, out=theta)
+        np.add(theta, d, out=theta)
+        np.arctan2(width, theta, out=theta)
         np.subtract(low_sum, 1j * d, out=pump)
         np.divide(d, pump, out=pump)
         np.multiply(pump, (1j * (d - h) - block) / d, out=w)
         np.multiply(w, spread, out=w)
         np.multiply(d / (block + 1j * s), pump, out=pair)
         # pump is spent: it takes E(w).
-        np.multiply(pair, _log1p_over(w, 1j * d - block, 1j * h, low, high, out=pump,
-                                      work=(ratio, angle)), out=pair)
+        np.multiply(pair, _log1p_over(w, 1j * d - block, 1j * h, low, high, out=pump), out=pair)
         mean = low_sum
         np.multiply((d / s) / (1.0 + (block / s) ** 2), theta, out=mean)
         np.multiply(mean, per_width, out=mean)
@@ -706,7 +687,7 @@ def simulate_jsd_scan(
     The two-photon ridge can be orders of magnitude narrower than the
     scan step, so each idler cell holds the slice's exact mean over the
     cell, taken in closed form between the cell-edge detunings (see
-    :func:`_idler_cell_mean`); the cells tile the idler span, so a row's
+    :func:`_cell_mean_blocks`); the cells tile the idler span, so a row's
     cell integrals sum to its integral over the span.  The instrument
     response then blurs each idler spectrum as
     :func:`loopfwm.instrument.convolve_conserving` does (wrap-around
@@ -716,7 +697,7 @@ def simulate_jsd_scan(
     block's cell means, signal filter and blur run in turn while it is in
     cache.  The cell means reuse work arrays made once per call, and the blur
     writes each block into the result: on the default grid the scan
-    allocates 1.8 MB beside it.  Every step is the one the whole matrix would
+    allocates 1.5 MB beside it.  Every step is the one the whole matrix would
     take, element by element, so the bits do not depend on the blocks.
 
     Parameters
@@ -744,8 +725,8 @@ def simulate_jsd_scan(
     ------
     ValueError
         If a linewidth is not positive and finite, the resolution is
-        negative or not finite, or either axis fails to cover its
-        resonance.
+        negative, not finite or wider than the idler axis holds, or either
+        axis fails to cover its resonance.
     """
     _check_linewidths(pump_linewidth_ghz, signal_linewidth_ghz, idler_linewidth_ghz)
     if not 0.0 <= resolution_fwhm_pm < math.inf:

@@ -387,6 +387,24 @@ class TestJsd:
         assert "'jsd.pump_linewidth_ghz'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "edits, named",
+        [
+            (((("jsd", "idler_step_pm"), 0.1), (("jsd", "signal_step_pm"), 100.0),
+              (("instrument", "jsd_resolution_pm"), 1.0e308)), "1e+308 pm"),
+            (((("instrument", "jsd_resolution_pm"), 1e5),), "100000 pm"),
+        ],
+    )
+    def test_blur_wider_than_the_idler_axis_is_refused(self, tmp_path, capsys, edits, named):
+        # The first blur's kernel width overflows an integer; the second, a
+        # 100 nm blur on the 6 nm idler window, would flatten every row if cut.
+        path = tmp_path / "wide.yaml"
+        path.write_text(edited_config(*edits), encoding="utf-8")
+        assert main(["jsd", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"resolution of {named} FWHM" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_scan_csv_is_the_long_form_table(self, tmp_path):
         # The grid writer must write what write_table writes for the repeated
         # signal axis, the tiled idler axis and the raveled scan.

@@ -83,11 +83,20 @@ class TestKernel:
         assert kernel[0] == 1.0
 
     def test_halfwidth_cap(self):
-        kernel = gaussian_kernel(0.01, 0.5, max_halfwidth=10)
-        assert kernel.size == 21
+        # 0.5 nm on 0.01 nm steps reaches 4 sigma = 84.9 samples: a cap of 85
+        # keeps the whole kernel, and a smaller one refuses it, uncut.
+        assert gaussian_kernel(0.01, 0.5, max_halfwidth=85).tolist() == (
+            gaussian_kernel(0.01, 0.5).tolist()
+        )
+        for cap in (84, 10):
+            with pytest.raises(ValueError, match=f"resolution of 500 pm .* than the {cap} "):
+                gaussian_kernel(0.01, 0.5, max_halfwidth=cap)
 
     def test_zero_halfwidth_cap_is_the_identity(self):
-        assert gaussian_kernel(0.01, 0.5, max_halfwidth=0).tolist() == [1.0]
+        # Only the identity kernel fits a cap of 0; a wider one is refused.
+        assert gaussian_kernel(0.01, 1e-9, max_halfwidth=0).tolist() == [1.0]
+        with pytest.raises(ValueError, match="than the 0 "):
+            gaussian_kernel(0.01, 0.5, max_halfwidth=0)
 
     def test_rejects_bad_widths(self):
         with pytest.raises(ValueError, match="fwhm_nm"):
@@ -169,7 +178,10 @@ def blur_cases(draw):
         arrays(float, shape, elements=st.floats(min_value=1e-12, max_value=1e3))
     )
     step = draw(st.floats(min_value=1e-3, max_value=0.05))
-    fwhm = draw(st.floats(min_value=1e-3, max_value=2.0))
+    # The widest FWHM whose ceil(4 sigma) samples each side fit the grid, less
+    # a relative 1e-12 so that rounding cannot push it past.
+    widest = (length - 1) // 2 * step * FWHM_PER_SIGMA / 4.0 * (1.0 - 1e-12)
+    fwhm = draw(st.floats(min_value=min(1e-3, widest), max_value=min(2.0, widest)))
     kernel = gaussian_kernel(step, fwhm, max_halfwidth=(length - 1) // 2)
     rows = values.size // length
     cuts = sorted(draw(st.lists(st.integers(0, rows), max_size=3)))

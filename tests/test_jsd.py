@@ -22,7 +22,8 @@ from loopfwm.fwm import FwmTriplet, idler_wavelength
 from loopfwm.instrument import MAX_GRID_POINTS, gaussian_kernel
 import loopfwm.jsd as jsd_module
 from loopfwm.jsd import (
-    _idler_cell_mean,
+    _cell_mean_blocks,
+    _log1p_over,
     JointAmplitude,
     RidgeFit,
     SpectralAxis,
@@ -447,6 +448,11 @@ class TestScanReference:
         assert np.max(np.abs(got - reference)) <= 1e-5 * np.max(reference)
 
 
+def cell_mean(*args) -> np.ndarray:
+    """Every block's mean from ``_cell_mean_blocks(*args)``, copied as it is yielded."""
+    return np.concatenate([mean.copy() for _, mean in _cell_mean_blocks(*args)])
+
+
 class TestCellMean:
     """The closed-form cell mean against elementary integrals."""
 
@@ -461,7 +467,7 @@ class TestCellMean:
         low = np.array([-0.5, 10.0, 300.0, -400.0])
         high = np.array([0.7, 11.25, 301.25, 400.0])
         with np.errstate(all="raise"):
-            got = _idler_cell_mean(np.zeros((1, 1)), low, high, h * (1.0 + relative_offset), h)
+            got = cell_mean(np.zeros((1, 1)), low, high, h * (1.0 + relative_offset), h)
         exact = (
             self.coincident_antiderivative(high, h) - self.coincident_antiderivative(low, h)
         ) / (high - low)
@@ -475,7 +481,7 @@ class TestCellMean:
         # the pole as a breakpoint.
         h, low, high = 35.0, 10.0, 11.25
         shift = -high if edge == "high" else -low
-        got = _idler_cell_mean(
+        got = cell_mean(
             np.full((1, 1), shift), np.array([low]), np.array([high]), pump_linewidth, h
         )
         with mpmath.workdps(50):
@@ -497,7 +503,7 @@ class TestCellMean:
         h, low, high = 35.0, 10.0, 11.25
         pole = high if edge == "high" else low
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            got = _idler_cell_mean(
+            got = cell_mean(
                 np.full((1, 1), -pole), np.array([low]), np.array([high]), pump_linewidth, h
             )
         expected = math.pi / 2.0 * pump_linewidth * h**2 / (pole**2 + h**2) / (high - low)
@@ -511,7 +517,7 @@ class TestCellMean:
         h = 35.0
         span = 1e9
         s = pump_linewidth + h
-        got = _idler_cell_mean(
+        got = cell_mean(
             np.full((1, 1), shift), np.array([-span]), np.array([span]), pump_linewidth, h
         )
         expected = math.pi * pump_linewidth * h * s / (shift**2 + s**2)
@@ -526,7 +532,7 @@ class TestCellMean:
         low = np.array([-1.0, 10.0, -300.0])
         high = np.array([0.5, 11.25, 300.0])
         with np.errstate(all="raise", under="ignore"):
-            got = _idler_cell_mean(np.array([[0.0], [50.0]]), low, high, pump_linewidth, h)
+            got = cell_mean(np.array([[0.0], [50.0]]), low, high, pump_linewidth, h)
         expected = h * (np.arctan(high / h) - np.arctan(low / h)) / (high - low)
         np.testing.assert_allclose(got, np.vstack([expected, expected]), rtol=1e-13)
 
@@ -539,13 +545,13 @@ class TestCellMean:
         h = 35.0
         low = np.array([5.0, 10.0, 11.0])
         high = np.array([10.0, 11.0, 20.0])
-        got = _idler_cell_mean(np.array([[-10.3], [6e17]]), low, high, pump_linewidth, h)
+        got = cell_mean(np.array([[-10.3], [6e17]]), low, high, pump_linewidth, h)
         pole = math.pi * pump_linewidth * h**2 / (10.3**2 + h**2)
         np.testing.assert_allclose(got, [[0.0, pole, 0.0], [0.0, 0.0, 0.0]], rtol=1e-12, atol=0.0)
 
     def test_subnormal_pump_stays_finite(self):
-        got = _idler_cell_mean(np.array([[-10.3], [6e17]]), np.array([10.0]), np.array([11.0]),
-                               5e-324, 35.0)
+        got = cell_mean(np.array([[-10.3], [6e17]]), np.array([10.0]), np.array([11.0]),
+                        5e-324, 35.0)
         assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
 
     @pytest.mark.parametrize(
@@ -555,7 +561,7 @@ class TestCellMean:
     )
     def test_narrow_cell_is_point_value(self, shift, y, pump_linewidth, idler_linewidth):
         width = 1e-7
-        got = _idler_cell_mean(
+        got = cell_mean(
             np.full((1, 1), shift),
             np.array([y - width / 2.0]),
             np.array([y + width / 2.0]),
@@ -567,6 +573,25 @@ class TestCellMean:
             * abs(complex(resonance_lineshape(y, idler_linewidth))) ** 2
         )
         assert got[0, 0] == pytest.approx(point, rel=1e-9)
+
+
+class TestLog1pOver:
+    def test_out_gives_the_bytes_of_a_fresh_array(self):
+        # One element or more per branch: small |z|, t = |1 + z|^2 - 1 below
+        # -1/2, |z| past 1e154 where t overflows, and z == 0.
+        z = np.array([[1e-9 + 2e-10j, -0.95 + 0.01j, 3e160 - 2e160j],
+                      [0.0, 0.5 - 0.25j, -0.7 - 0.6j]])
+        low = np.array([10.0, 11.0, 12.0])
+        args = (0.5j - np.array([[0.1], [2.0]]), 35j, low, low + 1.25)
+        with np.errstate(over="ignore"):
+            t = z.real * (2.0 + z.real) + z.imag**2
+        assert np.count_nonzero(t < -0.5) == 2 and np.isinf(t).any()
+        assert (z == 0.0).any() and (np.abs(z) < 1e-8).any()
+        fresh = _log1p_over(z, *args)
+        out = np.full_like(z, np.nan)
+        assert _log1p_over(z, *args, out=out) is out
+        assert out.tobytes() == fresh.tobytes()
+        assert np.all(np.isfinite(out))
 
 
 def whole_matrix_scan(grid, triplet, pump_linewidth_ghz, signal_linewidth_ghz,
@@ -734,7 +759,7 @@ class TestScanProperties:
         # integral over the whole span (the sum offset is exactly zero).
         edges = cell_edges_ghz(self.GRID.idler, TRIPLET.idler_nm)
         omega_s = detuning_ghz(self.GRID.signal.wavelengths_nm(), TRIPLET.signal_nm)
-        span_mean = _idler_cell_mean(
+        span_mean = cell_mean(
             omega_s[:, None], edges[-1:], edges[:1], pump, idler / 2.0
         )[:, 0]
         expected = (
