@@ -17,9 +17,10 @@ The module provides three fitters:
 All fitters are deterministic: initial guesses are derived from the data
 by fixed rules (extremum position, half-depth crossings, window-edge
 baseline) rather than random restarts, and ties are broken toward the
-smallest wavelength.  Parameter uncertainties come from the linearized
-covariance at the optimum, scaled by the reduced chi-square; the Lorentzian
-fit takes it from the same eigen-decomposition of JᵀJ there.
+smallest wavelength.  Every reported parameter, fitted or derived, gets its
+σ = sqrt(gᵀCg) from its gradient g through one helper, C being the linearized
+covariance at the optimum scaled by the reduced chi-square (for the Lorentzian,
+from the same eigen-decomposition of JᵀJ), and no report prints a negative zero.
 """
 
 from __future__ import annotations
@@ -327,31 +328,18 @@ def fit_lorentzian(
         )
     gram, _ = _normal_equations(params, wavelengths, residuals)
     covariance = _unit_covariance(gram) * (cost / (residuals.size - 4))
-    sigmas = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-
-    quality = center / fwhm
-    q_grad = np.array([1.0 / fwhm, -center / fwhm**2, 0.0, 0.0])
-    q_sigma = float(np.sqrt(max(q_grad @ covariance @ q_grad, 0.0)))
-    level = float(baseline + amplitude)
-    level_grad = np.array([0.0, 0.0, 1.0, 1.0])
-    level_sigma = float(np.sqrt(max(level_grad @ covariance @ level_grad, 0.0)))
-    level_name = "extinction" if amplitude < 0.0 else "peak"
-
-    parameters = {
-        "center_nm": FitParameter(float(center), float(sigmas[0])),
-        "fwhm_nm": FitParameter(fwhm, float(sigmas[1])),
-        "amplitude": FitParameter(_unscaled(amplitude, value_exp), _unscaled(sigmas[2], value_exp)),
-        "baseline": FitParameter(_unscaled(baseline, value_exp), _unscaled(sigmas[3], value_exp)),
-        "quality_factor": FitParameter(float(quality), q_sigma),
-        level_name: FitParameter(_unscaled(level, value_exp), _unscaled(level_sigma, value_exp)),
+    fitted = np.eye(4)
+    level = "extinction" if amplitude < 0.0 else "peak"
+    estimates = {
+        "center_nm": (center, fitted[0], 0),
+        "fwhm_nm": (fwhm, fitted[1], 0),
+        "amplitude": (amplitude, fitted[2], value_exp),
+        "baseline": (baseline, fitted[3], value_exp),
+        "quality_factor": (center / fwhm, np.array([1.0 / fwhm, -center / fwhm**2, 0.0, 0.0]), 0),
+        level: (baseline + amplitude, fitted[2] + fitted[3], value_exp),
     }
-    return FitReport(
-        parameters=parameters,
-        residual_rms=_unscaled(np.sqrt(np.mean(np.square(residuals))), value_exp),
-        points_used=int(wavelengths.size),
-        points_excluded=int(spectrum.size - wavelengths.size),
-        model="lorentzian",
-    )
+    used, excluded = wavelengths.size, spectrum.size - wavelengths.size
+    return _report("lorentzian", estimates, covariance, residuals, value_exp, used, excluded)
 
 
 def weighted_line(
@@ -404,10 +392,23 @@ def weighted_line(
 
 
 def _unscaled(value: float, exponent: int) -> float:
-    """``value * 2**exponent``, exact; inf when out of range, which the
-    finiteness checks of :class:`FitParameter` and :class:`FitReport` reject."""
+    """``value * 2**exponent``, exact; inf out of range, which a report rejects."""
     with np.errstate(over="ignore"):
         return float(np.ldexp(value, exponent))
+
+
+def _report(
+    model: str, estimates: Mapping[str, tuple[float, np.ndarray, int]], covariance: np.ndarray,
+    residuals: np.ndarray, residual_exp: int, used: int, excluded: int,
+) -> FitReport:
+    """Each estimate ``name: (value, gradient g, exp)`` in fit units gets σ = sqrt(gᵀCg);
+    both are unscaled by ``2**exp``, and + 0.0 maps -0.0 to 0.0 and keeps every other float."""
+    parameters = {}
+    for name, (value, gradient, exp) in estimates.items():
+        sigma = np.sqrt(max(gradient @ covariance @ gradient, 0.0))
+        parameters[name] = FitParameter(_unscaled(value, exp) + 0.0, _unscaled(sigma, exp) + 0.0)
+    rms = _unscaled(np.sqrt(np.mean(np.square(residuals))), residual_exp)
+    return FitReport(parameters, rms, used, excluded, model)
 
 
 def fit_lasing_curve(
@@ -483,26 +484,13 @@ def fit_lasing_curve(
         raise ValueError(
             f"fitted slope {_unscaled(slope, slope_exp):.4g} mW/mA is not a lasing slope"
         )
-    threshold = -intercept / slope
-    gradient = np.array([intercept / slope**2, -1.0 / slope])
-    threshold_sigma = float(np.sqrt(max(gradient @ covariance @ gradient, 0.0)))
+    fitted = np.eye(2)
+    threshold_grad = np.array([intercept / slope**2, -1.0 / slope])
+    estimates = {
+        "slope_mw_per_ma": (slope, fitted[0], slope_exp),
+        "intercept_mw": (intercept, fitted[1], power_exp),
+        "threshold_ma": (-intercept / slope, threshold_grad, current_exp),
+    }
     residuals = scaled[included] - (slope * currents[included] + intercept)
-
-    sigmas = np.sqrt(np.maximum(np.diag(covariance), 0.0))
-    scaled_parameters = {
-        "slope_mw_per_ma": (slope, sigmas[0], slope_exp),
-        "intercept_mw": (intercept, sigmas[1], power_exp),
-        "threshold_ma": (threshold, threshold_sigma, current_exp),
-    }
-    parameters = {
-        name: FitParameter(_unscaled(value, exp), _unscaled(sigma, exp))
-        for name, (value, sigma, exp) in scaled_parameters.items()
-    }
     used = int(np.count_nonzero(included))
-    return FitReport(
-        parameters=parameters,
-        residual_rms=_unscaled(np.sqrt(np.mean(np.square(residuals))), power_exp),
-        points_used=used,
-        points_excluded=int(total - used),
-        model="lasing",
-    )
+    return _report("lasing", estimates, covariance, residuals, power_exp, used, total - used)

@@ -466,6 +466,17 @@ class TestFit:
         threshold = float(fields["threshold_ma"].split("+/-")[0])
         assert threshold == pytest.approx(90.0, abs=0.1)
 
+    def test_origin_line_prints_no_negative_zero(self, tmp_path):
+        # An exact line through the origin fits intercept 0, so its threshold
+        # -intercept/slope is -0.0, which once printed as "-0".
+        table = tmp_path / "origin.csv"
+        table.write_text("current_mA,drop_power_mw\n1,1\n2,2\n3,3\n4,4\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["fit", str(table), "--model", "lasing", "--out", str(out)]) == 0
+        assert report_fields(out / "fit_report.txt")["threshold_ma"] == "0 +/- 0"
+        row = report_csv_row(out / "fit_report.csv")
+        assert (row["threshold_ma"], row["threshold_ma_sigma"]) == ("0", "0")
+
     def test_large_trace_report_bytes(self, tmp_path, noisy_drop):
         out = tmp_path / "run"
         assert main(["fit", str(noisy_drop), "--model", "lorentzian", "--out", str(out)]) == 0

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import peak_allocation
 
@@ -457,8 +457,8 @@ class TestLorentzianFit:
         assert report.points_used == 60001
         assert peak <= 8.5e6
 
-def exact_line(xs, ys, weights) -> tuple[Fraction, Fraction]:
-    """Exact weighted least-squares slope and intercept of the given floats."""
+def exact_sums(xs, ys, weights) -> tuple[Fraction, ...]:
+    """Exact weighted sums Σw, Σwx, Σwy, Σwx² and Σwxy of the given floats."""
     x = [Fraction(float(v)) for v in xs]
     y = [Fraction(float(v)) for v in ys]
     w = [Fraction(float(v)) for v in weights]
@@ -467,6 +467,12 @@ def exact_line(xs, ys, weights) -> tuple[Fraction, Fraction]:
     sy = sum(wi * yi for wi, yi in zip(w, y))
     sxx = sum(wi * xi * xi for wi, xi in zip(w, x))
     sxy = sum(wi * xi * yi for wi, xi, yi in zip(w, x, y))
+    return s0, sx, sy, sxx, sxy
+
+
+def exact_line(xs, ys, weights) -> tuple[Fraction, Fraction]:
+    """Exact weighted least-squares slope and intercept of the given floats."""
+    s0, sx, sy, sxx, sxy = exact_sums(xs, ys, weights)
     slope = (s0 * sxy - sx * sy) / (s0 * sxx - sx * sx)
     return slope, (sy - slope * sx) / s0
 
@@ -596,6 +602,19 @@ class TestExactReference:
         assert_close_to_exact(intercept, exact_intercept)
 
 
+@st.composite
+def exact_lasing_lines(draw):
+    """Noise-free lines ``slope·(I − threshold)`` on 4 to 12 evenly stepped
+    currents above a threshold that is often exactly 0, with current steps
+    and slopes drawn across orders of magnitude."""
+    n = draw(st.integers(min_value=4, max_value=12))
+    step = 10.0 ** draw(st.integers(min_value=-6, max_value=6))
+    slope = 10.0 ** draw(st.integers(min_value=-9, max_value=9)) * draw(st.floats(1.0, 10.0))
+    threshold = step * draw(st.integers(min_value=-3, max_value=0))
+    currents = step * np.arange(1.0, n + 1.0)
+    return currents, slope * (currents - threshold)
+
+
 class TestLasingCurveFit:
     BUDGET = CONFIG.budget
     GAIN = CONFIG.gain
@@ -687,6 +706,36 @@ class TestLasingCurveFit:
                 np.array([0.2, 0.4, 0.6, 0.8]),
                 exclusion_cutoff_ma=115.0,
             )
+
+    def test_threshold_sigma_matches_exact(self):
+        # The delta-method σ of -b/s, gᵀCg with g = (b/s², -1/s) and C the
+        # (slope s, intercept b) covariance χ²/(n - 2)·[[n, -Σx], [-Σx, Σx²]]/det,
+        # in exact arithmetic on the same floats.
+        rng = np.random.default_rng(23)
+        currents = np.arange(95.0, 131.0, 2.5)
+        powers = 0.02 * (currents - 90.0) + rng.normal(0.0, 0.01, size=currents.size)
+        report = fit_lasing_curve(currents, powers)
+        assert report.points_excluded == 0
+        weights = np.ones(currents.size)
+        s0, sx, _, sxx, _ = exact_sums(currents, powers, weights)
+        slope, intercept = exact_line(currents, powers, weights)
+        chi2 = sum(
+            (Fraction(float(y)) - slope * Fraction(float(x)) - intercept) ** 2
+            for x, y in zip(currents, powers)
+        )
+        scale = chi2 / (currents.size - 2) / (s0 * sxx - sx * sx)
+        g_slope, g_intercept = intercept / slope**2, -1 / slope
+        variance = scale * (g_slope**2 * s0 - 2 * g_slope * g_intercept * sx + g_intercept**2 * sxx)
+        assert report.sigma("threshold_ma") == pytest.approx(math.sqrt(variance), rel=1e-12)
+
+    @settings(deadline=None, max_examples=200)
+    @given(line=exact_lasing_lines())
+    @example(line=(np.arange(1.0, 5.0), np.arange(1.0, 5.0)))
+    def test_no_negative_zero(self, line):
+        report = fit_lasing_curve(*line)
+        for parameter in report.parameters.values():
+            for number in (parameter.value, parameter.sigma):
+                assert number != 0.0 or math.copysign(1.0, number) == 1.0
 
     def test_noisy_threshold_uncertainty(self):
         rng = np.random.default_rng(23)

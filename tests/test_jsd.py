@@ -702,7 +702,7 @@ class TestScanBitIdentity:
 
     def test_default_scan_allocates_row_blocks(self):
         # The scan holds its 2.9 MB result and the work arrays of one row
-        # block, 4.64 MB at its peak; on whole matrices it peaks at 11.8 MB.
+        # block, 4.38 MB at its peak; on whole matrices it peaks at 11.8 MB.
         settings = self.settings(CONFIG.pump_linewidth_ghz, CONFIG.jsd_resolution_pm)
         got, peak = peak_allocation(lambda: simulate_jsd_scan(self.DEFAULT, *settings))
         assert got.shape == (601, 601)
