@@ -5,8 +5,8 @@ fiber amplifier loop: the loop lases on one ring resonance, the intracavity
 pump stimulates four-wave mixing with an injected signal, and the generated
 idler is analyzed through joint-spectral and Schmidt-mode decompositions.
 
-Subpackages
------------
+Modules
+-------
 ring
     Add-drop ring transfer functions, linewidths, coupling calibration.
 laser
@@ -20,6 +20,8 @@ jsd
 fitting
     Lorentzian resonance fits, the lasing-threshold fit, and the weighted
     line fit shared by the threshold, ridge and conversion-slope fits.
+csvio
+    CSV reading and writing with a fixed, locale-independent dialect.
 config
     YAML configuration loading and validation.
 cli

@@ -267,8 +267,11 @@ def _parse_jsd(section: _Section) -> tuple[SpectralGrid, float]:
     signal = section.numbers("signal_start_nm", "signal_stop_nm", "signal_step_pm")
     idler = section.numbers("idler_start_nm", "idler_stop_nm", "idler_step_pm")
     section.done()
+    for key, step in (("signal_step_pm", signal[2]), ("idler_step_pm", idler[2])):
+        if step <= 0.0:
+            raise ConfigError(f"'jsd.{key}' must be positive, got {step}")
     with section.building():
-        grid = SpectralGrid(SpectralAxis.from_range(*signal), SpectralAxis.from_range(*idler))
+        grid = SpectralGrid(SpectralAxis(*signal), SpectralAxis(*idler))
         return grid, pump_linewidth
 
 

@@ -29,42 +29,14 @@ FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 MAX_GRID_POINTS = 10_000_000
 
 
-def _check_point_count(intervals: float) -> None:
-    """Reject a grid of ``intervals`` steps that exceeds :data:`MAX_GRID_POINTS`."""
-    if not intervals + 1.0 <= MAX_GRID_POINTS:
-        raise ValueError(
-            f"grid would have {intervals + 1.0:.4g} points, more than the "
-            f"{MAX_GRID_POINTS:,} allowed; use a coarser step"
-        )
+def range_count(start: float, stop: float, step: float) -> int:
+    """Number of points ``floor((stop - start)/step + 1e-9) + 1`` of
+    :func:`range_grid`, found without allocating it.
 
-
-def centered_count(span_nm: float, step_nm: float) -> int:
-    """Number of points ``round(span/step) + 1`` of a :func:`centered_grid`,
-    found without allocating it."""
-    if step_nm <= 0.0:
-        raise ValueError(f"step_nm must be positive, got {step_nm}")
-    if span_nm <= 0.0:
-        raise ValueError(f"span_nm must be positive, got {span_nm}")
-    intervals = span_nm / step_nm
-    _check_point_count(intervals)
-    return int(round(intervals)) + 1
-
-
-def centered_grid(center_nm: float, span_nm: float, step_nm: float) -> np.ndarray:
-    """Uniform wavelength grid of the given span centered on ``center_nm``.
-
-    The number of points is :func:`centered_count`, so the endpoints sit
-    at ``center ± span/2`` up to rounding of the step count, and an odd
-    count places a sample exactly at the center.
+    Raises ``ValueError`` if a bound or the step is not finite, the step is
+    not positive, the stop is not above the start, or the grid would have
+    more than :data:`MAX_GRID_POINTS` points.
     """
-    count = centered_count(span_nm, step_nm)
-    offsets = (np.arange(count) - (count - 1) / 2.0) * step_nm
-    return center_nm + offsets
-
-
-def range_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Uniform grid from ``start`` to ``stop`` inclusive (up to rounding), in the
-    unit the three share: the wavelength and the drive-current sweeps both use it."""
     if not all(math.isfinite(value) for value in (start, stop, step)):
         raise ValueError(
             f"grid bounds and step must be finite, got [{start}, {stop}] step {step}"
@@ -74,9 +46,20 @@ def range_grid(start: float, stop: float, step: float) -> np.ndarray:
     if stop <= start:
         raise ValueError(f"grid stop must exceed its start, got [{start}, {stop}]")
     intervals = (stop - start) / step
-    _check_point_count(intervals)
-    count = int(math.floor(intervals + 1e-9)) + 1
-    return start + np.arange(count) * step
+    if not intervals + 1.0 <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid would have {intervals + 1.0:.4g} points, more than the "
+            f"{MAX_GRID_POINTS:,} allowed; use a coarser step"
+        )
+    return int(math.floor(intervals + 1e-9)) + 1
+
+
+def range_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Uniform grid of :func:`range_count` points from ``start`` at ``step``
+    spacing, so it ends at ``stop`` up to rounding of the step count, in the
+    unit the three share: the wavelength sweeps, the JSD scan axes and the
+    drive-current sweep all use it."""
+    return start + np.arange(range_count(start, stop, step)) * step
 
 
 def gaussian_kernel(step_nm: float, fwhm_nm: float, max_halfwidth: int | None = None) -> np.ndarray:

@@ -46,50 +46,46 @@ from loopfwm.fitting import weighted_line
 from loopfwm.fwm import FwmTriplet
 from loopfwm.instrument import (
     MAX_GRID_POINTS,
-    centered_count,
-    centered_grid,
     convolve_conserving,
     gaussian_kernel,
+    range_count,
+    range_grid,
 )
 from loopfwm.ring import SPEED_OF_LIGHT_NM_GHZ
 
 
 @dataclass(frozen=True)
 class SpectralAxis:
-    """One axis of a signal-idler grid: center, span and step.
+    """One axis of a signal-idler grid: a start, stop and step.
 
-    The low edge ``center_nm - span_nm/2`` must be above 0 nm, where every
-    wavelength has a finite frequency.
+    The axis is gridded and counted by the rule of every other sweep,
+    :func:`~loopfwm.instrument.range_grid`, so it holds no point past
+    ``stop_nm`` beyond rounding.  The start must have a positive, finite
+    frequency ``c/start_nm``, and the axis at least 16 points.
 
     Parameters
     ----------
-    center_nm : float
-        Center wavelength in nm.
-    span_nm : float
-        Full width of the axis in nm.
+    start_nm : float
+        First wavelength in nm.
+    stop_nm : float
+        Last wavelength in nm, reached when the span is a whole number of steps.
     step_pm : float
         Grid step in picometers.
     """
 
-    center_nm: float
-    span_nm: float
+    start_nm: float
+    stop_nm: float
     step_pm: float
 
     def __post_init__(self) -> None:
-        for name in ("center_nm", "span_nm", "step_pm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.step_pm <= 0.0:
-            raise ValueError(f"step_pm must be positive, got {self.step_pm}")
-        if self.span_nm <= 0.0:
-            raise ValueError(f"span_nm must be positive, got {self.span_nm}")
-        low = self.center_nm - self.span_nm / 2.0
-        if low <= 0.0:
-            raise ValueError(f"axis low edge must be above 0 nm, got {low} nm")
+        if not (self.start_nm > 0.0 and math.isfinite(SPEED_OF_LIGHT_NM_GHZ / self.start_nm)):
+            raise ValueError(
+                f"axis start must be above 0 nm with a finite frequency, got {self.start_nm} nm"
+            )
         if self.size < 16:
             raise ValueError(
                 f"axis needs at least 16 points, got {self.size} "
-                f"(span {self.span_nm} nm at {self.step_pm} pm steps)"
+                f"([{self.start_nm}, {self.stop_nm}] nm at {self.step_pm} pm steps)"
             )
 
     @property
@@ -98,25 +94,14 @@ class SpectralAxis:
 
     @property
     def size(self) -> int:
-        return centered_count(self.span_nm, self.step_nm)
+        return range_count(self.start_nm, self.stop_nm, self.step_nm)
 
     def wavelengths_nm(self) -> np.ndarray:
-        return centered_grid(self.center_nm, self.span_nm, self.step_nm)
+        return range_grid(self.start_nm, self.stop_nm, self.step_nm)
 
     def span_ghz(self) -> float:
         """Frequency width of the axis, exact at the band edges."""
-        low = self.center_nm - self.span_nm / 2.0
-        high = self.center_nm + self.span_nm / 2.0
-        return SPEED_OF_LIGHT_NM_GHZ / low - SPEED_OF_LIGHT_NM_GHZ / high
-
-    @classmethod
-    def from_range(cls, start_nm: float, stop_nm: float, step_pm: float) -> "SpectralAxis":
-        """Axis covering ``[start_nm, stop_nm]`` inclusive."""
-        return cls(
-            center_nm=(start_nm + stop_nm) / 2.0,
-            span_nm=stop_nm - start_nm,
-            step_pm=step_pm,
-        )
+        return SPEED_OF_LIGHT_NM_GHZ / self.start_nm - SPEED_OF_LIGHT_NM_GHZ / self.stop_nm
 
 
 @dataclass(frozen=True)
@@ -463,8 +448,7 @@ def schmidt_purity(
     unit = idler_linewidth_ghz / 2.0
 
     def window(axis: SpectralAxis, resonance_nm: float) -> tuple[float, float]:
-        low_nm, high_nm = axis.center_nm - axis.span_nm / 2.0, axis.center_nm + axis.span_nm / 2.0
-        edges = detuning_ghz(np.array([high_nm, low_nm]), resonance_nm)
+        edges = detuning_ghz(np.array([axis.stop_nm, axis.start_nm]), resonance_nm)
         limit = _FAR * unit
         return tuple(float(np.clip(edge, -limit, limit)) / unit for edge in edges)
 

@@ -6,8 +6,8 @@ changes.  Per-test ``@settings`` (``max_examples``, ``deadline``) and
 ``@example`` pins still apply on top of this profile.
 
 :func:`edited_config` is the one way tests edit the packaged default
-config; test modules import it from here, and :func:`peak_allocation` and
-:func:`comment_lines` too.
+config; test modules import it from here, and :func:`centered_points`,
+:func:`peak_allocation` and :func:`comment_lines` too.
 The ``noisy_drop`` fixture is the largest table the tests read and fit.
 """
 
@@ -60,17 +60,24 @@ def noisy_drop(tmp_path_factory):
     depth, every value written as ``%.12g``.  It is the benchmark's noisy
     trace, generated here so that the tests import nothing from ``bench``."""
     resonance, amplitude, baseline = 1555.87, 0.6382200814494171, 0.2
-    count = 60001
-    wavelengths = resonance + (np.arange(count) - (count - 1) / 2.0) * 1e-4
+    wavelengths = centered_points(resonance, 6.0, 1e-4)
     fwhm = resonance / 2750.0
     clean = baseline + amplitude / (1.0 + (2.0 * (wavelengths - resonance) / fwhm) ** 2)
-    noise = np.random.default_rng(8).normal(0.0, 0.01 * amplitude, size=count)
+    noise = np.random.default_rng(8).normal(0.0, 0.01 * amplitude, size=wavelengths.size)
     lines = ["wavelength_nm,drop"] + [
         f"{x:.12g},{y:.12g}" for x, y in zip(wavelengths, clean + noise)
     ]
     path = tmp_path_factory.mktemp("noisy_drop") / "noisy_drop.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def centered_points(center: float, span: float, step: float) -> np.ndarray:
+    """``round(span/step) + 1`` points ``step`` apart, centered on ``center``,
+    so an odd count puts the middle one exactly on it: the sampling of the
+    fitted resonance spectra."""
+    count = int(round(span / step)) + 1
+    return center + (np.arange(count) - (count - 1) / 2.0) * step
 
 
 def peak_allocation(call):

@@ -11,19 +11,20 @@ import time
 
 import numpy as np
 import pytest
+from conftest import centered_points
 
 from loopfwm.cli import main
 from loopfwm.config import default_config_text, parse_config
 from loopfwm.fitting import Spectrum, fit_lasing_curve, fit_lorentzian
 from loopfwm.fwm import conversion_sweep, idler_wavelength
-from loopfwm.instrument import centered_grid, range_grid
+from loopfwm.instrument import range_grid
 from loopfwm.jsd import SpectralAxis, SpectralGrid, jsa, ridge_fit, schmidt, simulate_jsd_scan
 from loopfwm.laser import output_power_curve, saturated_single_pass_gain, steady_state_roundtrip
 from loopfwm.ring import linewidth_ghz, through_transmission
 
 CONFIG = parse_config(default_config_text())
 GAMMA_GHZ = linewidth_ghz(CONFIG.resonance_nm, CONFIG.geometry, CONFIG.coupling)
-SQUARE_AXIS = SpectralAxis(center_nm=1555.0, span_nm=2.72, step_pm=10.0)
+SQUARE_AXIS = SpectralAxis(start_nm=1553.64, stop_nm=1556.36, step_pm=10.0)
 SQUARE_GRID = SpectralGrid(signal=SQUARE_AXIS, idler=SQUARE_AXIS)
 
 
@@ -172,7 +173,7 @@ def test_criterion_07_schmidt_properties(capsys):
     checks.append(all(a >= b for a, b in zip(ordered, ordered[1:])))
     flat = schmidt(square_jsa(SQUARE_GRID, 100.0 * 70.0)).purity
     checks.append(flat > 0.99)
-    fine_axis = SpectralAxis(center_nm=1555.0, span_nm=2.72, step_pm=5.0)
+    fine_axis = SpectralAxis(start_nm=1553.64, stop_nm=1556.36, step_pm=5.0)
     fine = schmidt(
         square_jsa(SpectralGrid(signal=fine_axis, idler=fine_axis), 0.05 * 70.0)
     ).purity
@@ -193,7 +194,7 @@ def test_criterion_08_fitter_recovery(capsys):
     q_true = 2750.0
     fwhm = 1555.87 / q_true
     amplitude = 0.6382200814494171
-    grid = centered_grid(1555.87, 6.0, 0.05)
+    grid = centered_points(1555.87, 6.0, 0.05)
     clean = 0.2 + amplitude / (1.0 + (2.0 * (grid - 1555.87) / fwhm) ** 2)
     worst = 0.0
     for seed in range(100):

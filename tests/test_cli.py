@@ -987,11 +987,11 @@ class TestConfigFuzz:
     # Pinned inputs whose arithmetic can raise: OverflowError from an
     # infinite JSD axis, a huge resonance, loop loss, signal wavelength or
     # nonlinear parameter, ZeroDivisionError from a zero radius, a tiny
-    # saturation power or pump wavelength, or an axis whose low edge is at
-    # or below 0 nm, and RuntimeWarning from an infinite ring loss or an
+    # saturation power or pump wavelength, or an axis whose start is at or
+    # below 0 nm, and RuntimeWarning from an infinite ring loss or an
     # infinite or huge saturation power, a gain slope or a loop laser
-    # power past float range, or a subnormal pump linewidth that the JSD
-    # scan divides by.  On the default 10 pm grid, a signal axis
+    # power past float range, a JSD axis start whose frequency c/start
+    # overflows, or a subnormal pump linewidth that the JSD scan divides by.  On the default 10 pm grid, a signal axis
     # starting at -1 nm would ask for 94 M joint cells.
     @settings(deadline=None, max_examples=250)
     @given(

@@ -67,8 +67,8 @@ class TestDefaultConfig:
             gamma_per_w_m=300.0,
             triplet=FwmTriplet.from_pump_signal(1555.87, 1563.45),
             jsd_grid=SpectralGrid(
-                signal=SpectralAxis.from_range(1560.0, 1566.0, 10.0),
-                idler=SpectralAxis.from_range(1545.36, 1551.36, 10.0),
+                signal=SpectralAxis(1560.0, 1566.0, 10.0),
+                idler=SpectralAxis(1545.36, 1551.36, 10.0),
             ),
             pump_linewidth_ghz=0.05,
             spectrum_resolution_pm=50.0,
@@ -313,13 +313,31 @@ class TestMessages:
                 id="fwm-model",
             ),
             pytest.param(
-                [(("jsd", "signal_stop_nm"), 1559.0)], "jsd: span_nm must be positive, got -1.0",
+                [(("jsd", "signal_stop_nm"), 1559.0)],
+                "jsd: grid stop must exceed its start, got [1560.0, 1559.0]",
                 id="jsd-model",
             ),
             pytest.param(
                 [(("jsd", "signal_start_nm"), -1)],
-                "jsd: axis low edge must be above 0 nm, got -1.0 nm",
+                "jsd: axis start must be above 0 nm with a finite frequency, got -1.0 nm",
                 id="jsd-axis-through-zero",
+            ),
+            # Positive, but c/start overflows to inf.
+            pytest.param(
+                [(("jsd", "idler_start_nm"), 1e-300)],
+                "jsd: axis start must be above 0 nm with a finite frequency, got 1e-300 nm",
+                id="jsd-start-frequency-overflows",
+            ),
+            # Checked in pm, as written; the grid rule would quote it in nm.
+            pytest.param(
+                [(("jsd", "signal_step_pm"), -10.0)],
+                "'jsd.signal_step_pm' must be positive, got -10.0",
+                id="jsd-step-not-positive",
+            ),
+            pytest.param(
+                [(("jsd", "idler_step_pm"), 0)],
+                "'jsd.idler_step_pm' must be positive, got 0.0",
+                id="jsd-step-zero",
             ),
             # 60,001 x 601 cells, rejected before any array is allocated.
             pytest.param(
@@ -329,8 +347,9 @@ class TestMessages:
                 id="jsd-joint-grid-cap",
             ),
             # An infinite or nan edge or step is refused where it is read,
-            # naming its key; finite edges whose (start + stop)/2 or
-            # stop - start overflows are refused naming the derived quantity.
+            # naming its key; finite edges too far apart for the grid rule,
+            # or a start below 0 nm, are refused as the rule and the start
+            # check word it.
             pytest.param(
                 [(("jsd", "signal_stop_nm"), float("inf"))],
                 "'jsd.signal_stop_nm' must be finite, got inf",
@@ -338,12 +357,13 @@ class TestMessages:
             ),
             pytest.param(
                 [(("jsd", "signal_start_nm"), 1.0e308), (("jsd", "signal_stop_nm"), 1.7e308)],
-                "jsd: center_nm must be finite, got inf",
+                "jsd: grid would have inf points, more than the 10,000,000 allowed; "
+                "use a coarser step",
                 id="jsd-center-overflows",
             ),
             pytest.param(
                 [(("jsd", "signal_start_nm"), -1.0e308), (("jsd", "signal_stop_nm"), 1.0e308)],
-                "jsd: span_nm must be finite, got inf",
+                "jsd: axis start must be above 0 nm with a finite frequency, got -1e+308 nm",
                 id="jsd-span-overflows",
             ),
             pytest.param(

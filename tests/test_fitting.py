@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import peak_allocation
+from conftest import centered_points, peak_allocation
 
 from loopfwm import fitting
 from loopfwm.cli import main
@@ -27,7 +27,7 @@ from loopfwm.fitting import (
     lorentzian_profile,
     weighted_line,
 )
-from loopfwm.instrument import centered_grid, range_grid
+from loopfwm.instrument import range_grid
 from loopfwm.laser import output_power_curve, steady_state_roundtrip
 from loopfwm.ring import RingGeometry, drop_spectrum, solve_coupling, through_spectrum
 
@@ -39,7 +39,7 @@ CONFIG = parse_config(default_config_text())
 
 
 def synthetic_lorentzian(window_half_nm, step_nm, fwhm_nm, amplitude, baseline):
-    grid = centered_grid(CENTER_NM, 2.0 * window_half_nm, step_nm)
+    grid = centered_points(CENTER_NM, 2.0 * window_half_nm, step_nm)
     return grid, lorentzian_profile(grid, CENTER_NM, fwhm_nm, amplitude, baseline)
 
 
@@ -268,7 +268,7 @@ class TestLorentzianFit:
         assert report.value("peak") == pytest.approx(0.65, rel=1e-6)
 
     def test_fitted_ring_quality_in_published_band(self):
-        grid = centered_grid(CENTER_NM, 6.0, 0.05)
+        grid = centered_points(CENTER_NM, 6.0, 0.05)
         values = drop_spectrum(grid, CENTER_NM, GEOMETRY, COUPLING)
         report = fit_lorentzian(
             Spectrum(grid, values, "drop"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
@@ -276,7 +276,7 @@ class TestLorentzianFit:
         assert 2500.0 <= report.value("quality_factor") <= 3000.0
 
     def test_through_port_extinction_recovered(self):
-        grid = centered_grid(CENTER_NM, 6.0, 0.05)
+        grid = centered_points(CENTER_NM, 6.0, 0.05)
         values = through_spectrum(grid, CENTER_NM, GEOMETRY, COUPLING)
         report = fit_lorentzian(
             Spectrum(grid, values, "through"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
@@ -285,7 +285,7 @@ class TestLorentzianFit:
         assert report.value("extinction") < 0.05
 
     def test_flags_second_resonance(self):
-        grid = centered_grid(CENTER_NM, 8.0, 0.05)
+        grid = centered_points(CENTER_NM, 8.0, 0.05)
         values = (
             0.8
             + lorentzian_profile(grid, CENTER_NM - 2.0, 0.57, -0.7, 0.0)

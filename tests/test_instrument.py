@@ -4,28 +4,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import convolve1d
+from conftest import centered_points
 
 from loopfwm.instrument import (
     FWHM_PER_SIGMA,
     MAX_GRID_POINTS,
-    centered_grid,
     convolve_conserving,
     gaussian_kernel,
+    range_count,
     range_grid,
 )
 
 
 class TestGrids:
-    def test_centered_grid_hits_center(self):
-        grid = centered_grid(1555.0, 2.72, 0.01)
-        assert grid.size == 273
-        assert grid[136] == pytest.approx(1555.0, abs=1e-12)
-        assert grid[0] == pytest.approx(1555.0 - 1.36, abs=1e-9)
-
     def test_range_grid_endpoints(self):
         grid = range_grid(1560.0, 1566.0, 0.01)
         assert grid.size == 601
@@ -36,29 +31,63 @@ class TestGrids:
         grid = range_grid(1548.0, 1549.0, 0.05)
         np.testing.assert_allclose(np.diff(grid), 0.05, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "start, stop, step, count",
+        [
+            (1560.0, 1566.0, 0.01, 601),  # the default JSD signal axis
+            (1560.0, 1566.007, 0.01, 601),  # a part step past the last is dropped
+            (0.0, 0.3, 0.1, 4),  # 2.9999999999999996 steps count as 3
+            (60.0, 150.0, 5.0, 19),  # the default laser-curve sweep
+            (1552.87, 1558.87, 1e-4, 60001),  # the densest benchmark spectrum
+        ],
+    )
+    def test_range_count(self, start, stop, step, count):
+        assert range_count(start, stop, step) == count
+
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="step_nm"):
-            centered_grid(1555.0, 1.0, 0.0)
-        with pytest.raises(ValueError, match="span_nm"):
-            centered_grid(1555.0, -1.0, 0.01)
+        with pytest.raises(ValueError, match="stop must exceed its start"):
+            range_count(1566.0, 1560.0, 0.01)
         with pytest.raises(ValueError, match="stop must exceed its start"):
             range_grid(1566.0, 1560.0, 0.01)
+        with pytest.raises(ValueError, match="must be finite"):
+            range_count(1560.0, math.nan, 0.01)
 
     @pytest.mark.parametrize("step", [0.0, -0.01])
     def test_range_grid_rejects_nonpositive_step(self, step):
         with pytest.raises(ValueError, match=f"grid step must be positive, got {step}"):
             range_grid(1560.0, 1566.0, step)
+        with pytest.raises(ValueError, match=f"grid step must be positive, got {step}"):
+            range_count(1560.0, 1566.0, step)
 
     def test_rejects_counts_past_the_limit_before_allocating(self):
         # Every count here fails the check; none is ever allocated.
         with pytest.raises(ValueError, match=r"1e\+09 points"):
             range_grid(0.0, 1.0, 1e-9)
         with pytest.raises(ValueError, match=r"6e\+15 points"):
-            centered_grid(1555.0, 6.0, 1e-15)
+            range_count(1552.0, 1558.0, 1e-15)
         with pytest.raises(ValueError, match="inf points"):
             range_grid(0.0, 1e300, 1e-300)
         with pytest.raises(ValueError, match="points"):
             range_grid(0.0, float(MAX_GRID_POINTS), 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.floats(min_value=-1e6, max_value=1e6),
+        intervals=st.floats(min_value=1e-3, max_value=2000.0),
+        step=st.floats(min_value=1e-6, max_value=1e3),
+    )
+    def test_count_is_the_grid_size(self, start, intervals, step):
+        stop = start + intervals * step
+        assume(stop > start)
+        grid = range_grid(start, stop, step)
+        assert range_count(start, stop, step) == grid.size
+        assert grid[0] == start
+        # The last point is the last whole step: within one step of stop,
+        # and never past it by more than the rule's 1e-9 of a step plus
+        # the rounding of start + k*step.
+        rounding = 4.0 * np.finfo(float).eps * (abs(start) + abs(stop))
+        assert grid[-1] <= stop + 1e-9 * step + rounding
+        assert grid[-1] > stop - step - rounding
 
 
 class TestKernel:
@@ -155,7 +184,7 @@ class TestConvolution:
 
     def test_gaussian_widths_add_in_quadrature(self):
         step = 0.005
-        grid = centered_grid(0.0, 6.0, step)
+        grid = centered_points(0.0, 6.0, step)
         input_fwhm = 0.3
         sigma_in = input_fwhm / FWHM_PER_SIGMA
         line = np.exp(-0.5 * (grid / sigma_in) ** 2)

@@ -9,6 +9,7 @@ elementary integrals.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from conftest import peak_allocation
 
 from loopfwm.config import default_config_text, parse_config
 from loopfwm.fwm import FwmTriplet, idler_wavelength
-from loopfwm.instrument import MAX_GRID_POINTS, gaussian_kernel
+from loopfwm.instrument import MAX_GRID_POINTS, gaussian_kernel, range_grid
 import loopfwm.jsd as jsd_module
 from loopfwm.jsd import (
     _cell_mean_blocks,
@@ -41,7 +42,7 @@ from loopfwm.ring import SPEED_OF_LIGHT_NM_GHZ, linewidth_ghz
 
 CONFIG = parse_config(default_config_text())
 GAMMA_GHZ = 70.0
-SQUARE_AXIS = SpectralAxis(center_nm=1555.0, span_nm=2.72, step_pm=10.0)
+SQUARE_AXIS = SpectralAxis(start_nm=1553.64, stop_nm=1556.36, step_pm=10.0)
 SQUARE_GRID = SpectralGrid(signal=SQUARE_AXIS, idler=SQUARE_AXIS)
 # Signal, idler and pump resonances of jsa on the square grids, all at their
 # 1555 nm center, so the pump conserves energy exactly.
@@ -104,34 +105,63 @@ class TestGridTypes:
     def test_axis_size_and_center(self):
         assert SQUARE_AXIS.size == 273
         wavelengths = SQUARE_AXIS.wavelengths_nm()
+        assert wavelengths[0] == 1553.64
         assert wavelengths[136] == pytest.approx(1555.0, abs=1e-12)
+        assert wavelengths[-1] == pytest.approx(1556.36, abs=1e-12)
 
     def test_axis_from_range(self):
-        axis = SpectralAxis.from_range(1560.0, 1566.0, 10.0)
-        assert axis.center_nm == 1563.0
+        # The default signal axis, bit for bit the grid of every other sweep.
+        axis = SpectralAxis(1560.0, 1566.0, 10.0)
         assert axis.size == 601
+        assert axis.wavelengths_nm().tobytes() == range_grid(1560.0, 1566.0, 0.01).tobytes()
+        assert axis.wavelengths_nm()[-1] == 1566.0
+
+    def test_partial_last_step_stays_inside_the_window(self):
+        # 6.007 nm is 600.7 steps: the axis stops at 1566.0 nm, its last
+        # whole step, so no sample lies outside the window that
+        # schmidt_purity integrates over.
+        axis = SpectralAxis(1560.0, 1566.007, 10.0)
+        wavelengths = axis.wavelengths_nm()
+        assert axis.size == wavelengths.size == 601
+        assert wavelengths[0] == 1560.0
+        assert wavelengths[-1] == pytest.approx(1566.0, abs=1e-12)
+        assert np.all((wavelengths >= axis.start_nm) & (wavelengths <= axis.stop_nm))
 
     def test_rejects_short_axis(self):
         with pytest.raises(ValueError, match="at least 16 points"):
-            SpectralAxis(center_nm=1555.0, span_nm=0.1, step_pm=10.0)
+            SpectralAxis(start_nm=1554.95, stop_nm=1555.05, step_pm=10.0)
 
+    # 1e-300 nm is positive, but c/start overflows to inf; unchecked, it
+    # would reach numpy and raise an overflow warning there.
     @pytest.mark.parametrize("start_nm", [-1.0, 0.0, 1e-300])
     def test_rejects_low_edge_at_or_below_zero(self, start_nm):
-        # A 1e-300 nm start rounds the low edge of a 6 nm axis to exactly 0.
-        with pytest.raises(ValueError, match="low edge"):
-            SpectralAxis.from_range(start_nm, 6.0, 100.0)
-        with pytest.raises(ValueError, match="low edge"):
-            SpectralAxis(center_nm=1.0, span_nm=3.0, step_pm=10.0)
+        with pytest.raises(ValueError, match=f"axis start must be .* got {start_nm} nm"):
+            SpectralAxis(start_nm, 6.0, 100.0)
+
+    def test_smallest_start_with_a_finite_frequency(self):
+        start_nm = math.nextafter(SPEED_OF_LIGHT_NM_GHZ / sys.float_info.max, math.inf)
+        with np.errstate(all="raise"):
+            assert math.isfinite(SpectralAxis(start_nm, 6.0, 100.0).span_ghz())
+
+    def test_grid_rule_faults(self):
+        with pytest.raises(ValueError, match=r"stop must exceed its start, got \[1560.0, 1559.0\]"):
+            SpectralAxis(1560.0, 1559.0, 10.0)
+        with pytest.raises(ValueError, match="grid step must be positive, got -0.01"):
+            SpectralAxis(1560.0, 1566.0, -10.0)
+        with pytest.raises(ValueError, match="grid bounds and step must be finite"):
+            SpectralAxis(1560.0, math.inf, 10.0)
+        with pytest.raises(ValueError, match="grid would have inf points"):
+            SpectralAxis(1.0e308, 1.7e308, 10.0)
 
     def test_joint_grid_cell_cap(self):
         # Axes of 4,001 and 2,500 points: 10,002,500 cells, one grid past
         # MAX_GRID_POINTS.  No axis or joint array is ever allocated.
-        wide = SpectralAxis(center_nm=1555.0, span_nm=40.0, step_pm=10.0)
-        narrow = SpectralAxis(center_nm=1555.0, span_nm=24.99, step_pm=10.0)
+        wide = SpectralAxis(start_nm=1535.0, stop_nm=1575.0, step_pm=10.0)
+        narrow = SpectralAxis(start_nm=1555.0, stop_nm=1579.99, step_pm=10.0)
         assert (wide.size, narrow.size) == (4001, 2500)
         with pytest.raises(ValueError, match="10,002,500 cells"):
             SpectralGrid(signal=wide, idler=narrow)
-        smaller = SpectralAxis(center_nm=1555.0, span_nm=24.98, step_pm=10.0)
+        smaller = SpectralAxis(start_nm=1555.0, stop_nm=1579.98, step_pm=10.0)
         assert wide.size * smaller.size <= MAX_GRID_POINTS
         SpectralGrid(signal=wide, idler=smaller)
 
@@ -148,7 +178,7 @@ class TestJsa:
         np.testing.assert_allclose(intensity, intensity.T, atol=1e-12 * intensity.max())
 
     def test_swapping_linewidths_transposes(self):
-        axis = SpectralAxis(center_nm=1555.0, span_nm=5.44, step_pm=20.0)
+        axis = SpectralAxis(start_nm=1552.28, stop_nm=1557.72, step_pm=20.0)
         grid = SpectralGrid(signal=axis, idler=axis)
         a = jsa(grid, GAMMA_GHZ, GAMMA_GHZ, 2.0 * GAMMA_GHZ, *AT_CENTER)
         b = jsa(grid, GAMMA_GHZ, 2.0 * GAMMA_GHZ, GAMMA_GHZ, *AT_CENTER)
@@ -164,7 +194,7 @@ class TestJsa:
             assert abs(int(np.argmax(intensity[row])) - expected) <= 1
 
     def test_rejects_narrow_span(self):
-        narrow = SpectralAxis(center_nm=1555.0, span_nm=0.5, step_pm=10.0)
+        narrow = SpectralAxis(start_nm=1554.75, stop_nm=1555.25, step_pm=10.0)
         with pytest.raises(ValueError, match="four"):
             jsa(SpectralGrid(signal=narrow, idler=narrow), 3.5, GAMMA_GHZ, GAMMA_GHZ, *AT_CENTER)
 
@@ -303,8 +333,8 @@ class TestRidgeFit:
 
 class TestScanSimulation:
     SCAN = SpectralGrid(
-        signal=SpectralAxis.from_range(1561.5, 1565.5, 20.0),
-        idler=SpectralAxis.from_range(1546.0, 1551.0, 20.0),
+        signal=SpectralAxis(1561.5, 1565.5, 20.0),
+        idler=SpectralAxis(1546.0, 1551.0, 20.0),
     )
 
     def test_nonnegative(self):
@@ -344,8 +374,8 @@ class TestScanSimulation:
         # With a pump much broader than the resonances, the scanned row
         # mass traces the signal resonance intensity profile.
         scan = SpectralGrid(
-            signal=SpectralAxis(center_nm=1563.45, span_nm=3.0, step_pm=20.0),
-            idler=SpectralAxis(center_nm=TRIPLET.idler_nm, span_nm=6.0, step_pm=20.0),
+            signal=SpectralAxis(start_nm=1561.95, stop_nm=1564.95, step_pm=20.0),
+            idler=SpectralAxis(TRIPLET.idler_nm - 3.0, TRIPLET.idler_nm + 3.0, step_pm=20.0),
         )
         matrix = simulate_jsd_scan(
             scan,
@@ -375,7 +405,7 @@ class TestScanSimulation:
 
     def test_rejects_uncovered_resonance(self):
         off_window = SpectralGrid(
-            signal=SpectralAxis.from_range(1570.0, 1574.0, 20.0),
+            signal=SpectralAxis(1570.0, 1574.0, 20.0),
             idler=self.SCAN.idler,
         )
         with pytest.raises(ValueError, match="does not cover"):
@@ -429,8 +459,8 @@ def brute_force_scan(
 class TestScanReference:
     # 61 x 61 cells of 10 pm, with neither resonance on a cell center.
     GRID = SpectralGrid(
-        signal=SpectralAxis(center_nm=TRIPLET.signal_nm + 0.123, span_nm=0.6, step_pm=10.0),
-        idler=SpectralAxis(center_nm=TRIPLET.idler_nm - 0.137, span_nm=0.6, step_pm=10.0),
+        signal=SpectralAxis(TRIPLET.signal_nm - 0.177, TRIPLET.signal_nm + 0.423, step_pm=10.0),
+        idler=SpectralAxis(TRIPLET.idler_nm - 0.437, TRIPLET.idler_nm + 0.163, step_pm=10.0),
     )
 
     @pytest.mark.parametrize("pump_linewidth", [0.05, 1.0, 35.0])
@@ -663,8 +693,12 @@ class TestScanBitIdentity:
     # 121 signal rows far wider in frequency than 601 idler cells: 27-row
     # blocks leave a short last one, and the blocks' own shift extents differ.
     WIDE_SIGNAL = SpectralGrid(
-        signal=SpectralAxis(center_nm=CONFIG.triplet.signal_nm, span_nm=6.0, step_pm=50.0),
-        idler=SpectralAxis(center_nm=CONFIG.triplet.idler_nm, span_nm=0.6, step_pm=1.0),
+        signal=SpectralAxis(
+            CONFIG.triplet.signal_nm - 3.0, CONFIG.triplet.signal_nm + 3.0, step_pm=50.0
+        ),
+        idler=SpectralAxis(
+            CONFIG.triplet.idler_nm - 0.3, CONFIG.triplet.idler_nm + 0.3, step_pm=1.0
+        ),
     )
 
     @staticmethod
@@ -724,8 +758,8 @@ class TestScanProperties:
     # the idler resonance; a pump linewidth of half the idler linewidth then
     # puts the pump and idler poles of the cell integral on one point.
     GRID = SpectralGrid(
-        signal=SpectralAxis(center_nm=TRIPLET.signal_nm, span_nm=0.32, step_pm=20.0),
-        idler=SpectralAxis(center_nm=TRIPLET.idler_nm + 0.05, span_nm=0.64, step_pm=20.0),
+        signal=SpectralAxis(start_nm=1563.29, stop_nm=1563.61, step_pm=20.0),
+        idler=SpectralAxis(TRIPLET.idler_nm - 0.27, TRIPLET.idler_nm + 0.37, step_pm=20.0),
     )
 
     def test_grid_holds_the_coincident_row(self):
@@ -777,11 +811,7 @@ def nystrom_purity(grid, triplet, pump, signal_width, idler_width, offset_sign=1
     nodes, weights = np.polynomial.legendre.leggauss(8)
 
     def axis(spectral_axis, resonance_nm):
-        low, high = detuning_ghz(
-            [spectral_axis.center_nm + spectral_axis.span_nm / 2.0,
-             spectral_axis.center_nm - spectral_axis.span_nm / 2.0],
-            resonance_nm,
-        )
+        low, high = detuning_ghz([spectral_axis.stop_nm, spectral_axis.start_nm], resonance_nm)
         edges = np.linspace(low, high, math.ceil((high - low) / pump) + 1)
         half = np.diff(edges)[:, None] / 2.0
         return ((edges[:-1, None] + half) + half * nodes).ravel(), (half * weights).ravel()
@@ -804,7 +834,9 @@ def wide_grid(width_ghz: float, linewidths: float) -> SpectralGrid:
     ``TRIPLET``'s signal and idler, 65 points each."""
     def axis(resonance_nm):
         span_nm = 2.0 * linewidths * width_ghz * resonance_nm**2 / SPEED_OF_LIGHT_NM_GHZ
-        return SpectralAxis(center_nm=resonance_nm, span_nm=span_nm, step_pm=span_nm * 1e3 / 64)
+        return SpectralAxis(
+            resonance_nm - span_nm / 2.0, resonance_nm + span_nm / 2.0, step_pm=span_nm * 1e3 / 64
+        )
 
     return SpectralGrid(signal=axis(TRIPLET.signal_nm), idler=axis(TRIPLET.idler_nm))
 
@@ -820,12 +852,12 @@ class TestSchmidtPurity:
         pump_nm=TRIPLET.pump_nm, signal_nm=TRIPLET.signal_nm, idler_nm=TRIPLET.idler_nm + 0.1
     )
     OFF_GRID = SpectralGrid(
-        signal=SpectralAxis(center_nm=TRIPLET.signal_nm + 0.8, span_nm=3.0, step_pm=10.0),
-        idler=SpectralAxis(center_nm=TRIPLET.idler_nm - 0.5, span_nm=3.0, step_pm=10.0),
+        signal=SpectralAxis(TRIPLET.signal_nm - 0.7, TRIPLET.signal_nm + 2.3, step_pm=10.0),
+        idler=SpectralAxis(TRIPLET.idler_nm - 2.0, TRIPLET.idler_nm + 1.0, step_pm=10.0),
     )
     CENTERED_GRID = SpectralGrid(
-        signal=SpectralAxis(center_nm=TRIPLET.signal_nm, span_nm=3.0, step_pm=10.0),
-        idler=SpectralAxis(center_nm=TRIPLET.idler_nm, span_nm=3.0, step_pm=10.0),
+        signal=SpectralAxis(TRIPLET.signal_nm - 1.5, TRIPLET.signal_nm + 1.5, step_pm=10.0),
+        idler=SpectralAxis(TRIPLET.idler_nm - 1.5, TRIPLET.idler_nm + 1.5, step_pm=10.0),
     )
 
     @pytest.mark.parametrize("pump", [5.0, 35.0])
@@ -871,8 +903,8 @@ class TestSchmidtPurity:
     @example(pump=35.0, signal=70.0, idler=70.0)
     def test_purity_in_unit_interval(self, pump, signal, idler):
         grid = SpectralGrid(
-            signal=SpectralAxis(center_nm=TRIPLET.signal_nm, span_nm=12.0, step_pm=100.0),
-            idler=SpectralAxis(center_nm=TRIPLET.idler_nm, span_nm=12.0, step_pm=100.0),
+            signal=SpectralAxis(TRIPLET.signal_nm - 6.0, TRIPLET.signal_nm + 6.0, step_pm=100.0),
+            idler=SpectralAxis(TRIPLET.idler_nm - 6.0, TRIPLET.idler_nm + 6.0, step_pm=100.0),
         )
         assert 0.0 < schmidt_purity(grid, TRIPLET, pump, signal, idler) <= 1.0
 
@@ -914,7 +946,7 @@ class TestSchmidtPurity:
             assert purity <= 1.0
 
     def test_rejects_narrow_span(self):
-        narrow = SpectralAxis(center_nm=1555.0, span_nm=0.5, step_pm=10.0)
+        narrow = SpectralAxis(start_nm=1554.75, stop_nm=1555.25, step_pm=10.0)
         with pytest.raises(ValueError, match="four"):
             schmidt_purity(SpectralGrid(signal=narrow, idler=narrow), TRIPLET, 3.5, 70.0, 70.0)
 
