@@ -268,8 +268,9 @@ def _parse_jsd(section: _Section) -> tuple[SpectralGrid, float]:
     idler = section.numbers("idler_start_nm", "idler_stop_nm", "idler_step_pm")
     section.done()
     for key, step in (("signal_step_pm", signal[2]), ("idler_step_pm", idler[2])):
-        if step <= 0.0:
-            raise ConfigError(f"'jsd.{key}' must be positive, got {step}")
+        if not step * 1e-3 > 0.0:
+            problem = "must be positive" if step <= 0.0 else "underflows to 0 nm"
+            raise ConfigError(f"'jsd.{key}' {problem}, got {step}")
     with section.building():
         grid = SpectralGrid(SpectralAxis(*signal), SpectralAxis(*idler))
         return grid, pump_linewidth

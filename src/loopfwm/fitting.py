@@ -117,7 +117,7 @@ class FitParameter:
         if not np.isfinite(self.value):
             raise ValueError(f"fitted value must be finite, got {self.value}")
         if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"uncertainty must be nonnegative, got {self.sigma}")
+            raise ValueError(f"uncertainty must be finite and nonnegative, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,6 @@ class FitReport:
 
     def value(self, name: str) -> float:
         return self.parameters[name].value
-
-    def sigma(self, name: str) -> float:
-        return self.parameters[name].sigma
 
 
 def lorentzian_profile(
@@ -291,14 +288,13 @@ def fit_lorentzian(
     Raises
     ------
     ValueError
-        If the window is empty, holds no feature or several resonances,
-        or samples the line too coarsely.
+        If the window holds fewer than 10 samples (a reversed window holds
+        none), no feature or several resonances, or samples the line too
+        coarsely.
     FitConvergenceError
         If the optimizer exhausts its iteration budget.
     """
     start, stop = float(window_nm[0]), float(window_nm[1])
-    if not stop > start:
-        raise ValueError(f"window must satisfy start < stop, got ({start}, {stop})")
     mask = (spectrum.wavelengths_nm >= start) & (spectrum.wavelengths_nm <= stop)
     wavelengths = spectrum.wavelengths_nm[mask]
     values = spectrum.values[mask]

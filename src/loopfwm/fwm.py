@@ -64,7 +64,8 @@ class FwmTriplet:
     Parameters
     ----------
     pump_nm, signal_nm, idler_nm : float
-        The three wavelengths in nm, each on its own ring resonance.  The
+        The three wavelengths in nm, each positive and on its own ring
+        resonance, as :meth:`from_pump_signal` makes them.  The
         residual of ``2/lp - 1/ls - 1/li`` may be at most
         :data:`ENERGY_TOLERANCE_PER_NM`.
     """
@@ -74,13 +75,6 @@ class FwmTriplet:
     idler_nm: float
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("pump_nm", self.pump_nm),
-            ("signal_nm", self.signal_nm),
-            ("idler_nm", self.idler_nm),
-        ):
-            if value <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
         if len({self.pump_nm, self.signal_nm, self.idler_nm}) != 3:
             raise ValueError(
                 f"pump, signal and idler must sit on distinct resonances, got "
@@ -130,25 +124,19 @@ def conversion_sweep(
     axis : {"pump", "signal"}
         Which coupled power is swept.
     values_mw : ndarray
-        Swept power values in mW.
+        Swept power values in mW, each >= 0.
     fixed_mw : float
-        The fixed power of the other wave, in mW.
+        The fixed power of the other wave, in mW, >= 0.
     gamma_per_w_m : float
-        Nonlinear parameter in 1/(W*m).
+        Nonlinear parameter in 1/(W*m), positive.
 
     Returns
     -------
     ndarray
         Idler power in mW for each swept value.
     """
-    if axis not in ("pump", "signal"):
-        raise ValueError(f"axis must be 'pump' or 'signal', got {axis!r}")
     values_mw = np.asarray(values_mw, dtype=float)
     fixed_mw = np.asarray(fixed_mw, dtype=float)
-    if np.any(values_mw < 0.0) or fixed_mw < 0.0:
-        raise ValueError("pump and signal powers must be >= 0")
-    if gamma_per_w_m <= 0.0:
-        raise ValueError(f"gamma_per_w_m must be positive, got {gamma_per_w_m}")
     pump_mw, signal_mw = (values_mw, fixed_mw) if axis == "pump" else (fixed_mw, values_mw)
     buildup = float(field_enhancement(0.0, coupling))
     length_m = geometry.circumference_nm * 1e-9

@@ -68,11 +68,11 @@ def gaussian_kernel(step_nm: float, fwhm_nm: float, max_halfwidth: int | None = 
     Parameters
     ----------
     step_nm : float
-        Grid spacing.
+        Grid spacing, positive.
     fwhm_nm : float
-        Full width at half maximum of the response.  Must be positive; a
-        width much smaller than the grid step degenerates to the identity
-        kernel.
+        Full width at half maximum of the response, >= 0.  A width whose
+        standard deviation is at most a tenth of the step, zero included,
+        gives the identity kernel ``[1.0]``.
     max_halfwidth : int, optional
         Bound on the kernel half-width in samples, e.g. to keep the kernel
         shorter than the data for wrap-around convolution.  A kernel that
@@ -83,10 +83,6 @@ def gaussian_kernel(step_nm: float, fwhm_nm: float, max_halfwidth: int | None = 
     ndarray
         Odd-length kernel normalized to unit sum.
     """
-    if step_nm <= 0.0:
-        raise ValueError(f"step_nm must be positive, got {step_nm}")
-    if fwhm_nm <= 0.0:
-        raise ValueError(f"fwhm_nm must be positive, got {fwhm_nm}")
     sigma_samples = fwhm_nm / FWHM_PER_SIGMA / step_nm
     if sigma_samples <= 0.1:
         # The nearest-neighbor weight exp(-1/(2*sigma^2)) is below 1e-21
@@ -114,6 +110,8 @@ def convolve_conserving(
 
     The kernel must be odd-length and exactly symmetric, as every
     :func:`gaussian_kernel` is; convolution and correlation then coincide.
+    It must also be no longer than the grid along the last axis, as a
+    kernel made with ``max_halfwidth=(count - 1) // 2`` is.
     The samples are wrap-padded by the kernel half-width and each output
     is ``v[i]*w[0] + sum((v[i-j] + v[i+j])*w[j])`` with ``j`` running down
     from the half-width to 1, the summation order of scipy's symmetric
@@ -125,8 +123,7 @@ def convolve_conserving(
     Raises
     ------
     ValueError
-        If the kernel is even-length, asymmetric, or longer than the
-        grid along the last axis.
+        If the kernel is even-length or asymmetric.
     """
     values = np.asarray(values, dtype=float)
     kernel = np.asarray(kernel, dtype=float)
@@ -135,8 +132,6 @@ def convolve_conserving(
         raise ValueError(f"kernel must be 1-D and odd-length, got shape {kernel.shape}")
     if not np.array_equal(kernel, kernel[::-1]):
         raise ValueError("kernel must be symmetric")
-    if kernel.size > count:
-        raise ValueError(f"kernel of {kernel.size} samples exceeds the {count}-sample grid")
     half = kernel.size // 2
     padded = np.concatenate((values[..., count - half:], values, values[..., :half]), axis=-1)
     out = np.multiply(padded[..., half:half + count], kernel[half], out=out)

@@ -192,9 +192,7 @@ def two_photon_pump_lineshape(sum_detuning_ghz, pump_linewidth_ghz: float):
 
 
 def resonance_lineshape(detuning, linewidth_ghz: float):
-    """Complex Lorentzian resonance amplitude of intensity FWHM ``linewidth``."""
-    if linewidth_ghz <= 0.0:
-        raise ValueError(f"linewidth_ghz must be positive, got {linewidth_ghz}")
+    """Complex Lorentzian resonance amplitude of positive intensity FWHM ``linewidth``."""
     half = linewidth_ghz / 2.0
     omega = np.asarray(detuning, dtype=float)
     return half / (half - 1j * omega)
@@ -214,17 +212,6 @@ def _check_spans(
                 f"{label} axis spans {axis.span_ghz():.1f} GHz, less than four "
                 f"linewidths ({4.0 * linewidth:.1f} GHz); widen the grid"
             )
-
-
-def _check_linewidths(pump_ghz: float, signal_ghz: float, idler_ghz: float) -> None:
-    """Reject a linewidth that is not positive and finite."""
-    for name, width in (
-        ("pump_linewidth_ghz", pump_ghz),
-        ("signal_linewidth_ghz", signal_ghz),
-        ("idler_linewidth_ghz", idler_ghz),
-    ):
-        if not 0.0 < width < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {width}")
 
 
 def jsa(
@@ -403,12 +390,12 @@ def schmidt_purity(
     The amplitude is ``A(x, y) = phi(x + y - r) l_s(x) l_i(y)`` in the signal
     and idler detunings, with the lineshapes of
     :func:`two_photon_pump_lineshape` and :func:`resonance_lineshape` and
-    ``r = c * triplet.energy_residual_per_nm``, as the scan sees it.  Each
-    axis covers its window ``[center - span/2, center + span/2]`` in
-    frequency, whatever the step; the Schmidt number is ``1/purity``.  A
-    sampled amplitude cannot give this: the two-photon ridge is ``2*delta``
-    wide, far narrower than a practical step, so :func:`schmidt` of
-    :func:`jsa` aliases it.
+    ``r = c * triplet.energy_residual_per_nm``, as the scan sees it; the
+    three linewidths, in GHz, are positive and finite.  Each axis covers its window
+    ``[start_nm, stop_nm]`` in frequency, whatever the step; the Schmidt
+    number is ``1/purity``.  A sampled amplitude cannot give this: the
+    two-photon ridge is ``2*delta`` wide, far narrower than a practical step,
+    so :func:`schmidt` of :func:`jsa` aliases it.
 
     ``G(y, y') = l_i(y) conj(l_i(y')) F(y, y')`` with
     ``F = int phi(x + a) conj(phi(x + a')) |l_s(x)|^2 dx`` over the signal
@@ -440,10 +427,8 @@ def schmidt_purity(
     Raises
     ------
     ValueError
-        If a linewidth is not positive and finite, or an axis spans less
-        than four resonance linewidths.
+        If an axis spans less than four resonance linewidths.
     """
-    _check_linewidths(pump_linewidth_ghz, signal_linewidth_ghz, idler_linewidth_ghz)
     _check_spans(grid, signal_linewidth_ghz, idler_linewidth_ghz)
     unit = idler_linewidth_ghz / 2.0
 
@@ -692,12 +677,14 @@ def simulate_jsd_scan(
         Resonance triplet; pump fixes the two-photon ridge, signal and
         idler fix the resonance filters.
     pump_linewidth_ghz : float
-        Pump laser linewidth (the two-photon structure has twice this
-        width).
+        Pump laser linewidth, positive and finite (the two-photon structure
+        has twice this width).
     signal_linewidth_ghz, idler_linewidth_ghz : float
-        Loaded resonance linewidths.
+        Loaded resonance linewidths, positive and finite.
     resolution_fwhm_pm : float
-        Spectrometer Gaussian FWHM in pm; zero disables blurring.
+        Spectrometer Gaussian FWHM in pm, finite and >= 0; zero, or a width
+        far below the idler step, disables blurring (see
+        :func:`~loopfwm.instrument.gaussian_kernel`).
 
     Returns
     -------
@@ -708,15 +695,9 @@ def simulate_jsd_scan(
     Raises
     ------
     ValueError
-        If a linewidth is not positive and finite, the resolution is
-        negative, not finite or wider than the idler axis holds, or either
+        If the resolution is wider than the idler axis holds, or either
         axis fails to cover its resonance.
     """
-    _check_linewidths(pump_linewidth_ghz, signal_linewidth_ghz, idler_linewidth_ghz)
-    if not 0.0 <= resolution_fwhm_pm < math.inf:
-        raise ValueError(
-            f"resolution_fwhm_pm must be finite and >= 0, got {resolution_fwhm_pm}"
-        )
     signal_axis = grid.signal.wavelengths_nm()
     idler_axis = grid.idler.wavelengths_nm()
     for axis, resonance, label in (
@@ -742,12 +723,10 @@ def simulate_jsd_scan(
         resonance_lineshape(omega_s, signal_linewidth_ghz)
     ) ** 2
     result = np.empty((signal_axis.size, idler_axis.size))
-    # Without a blur the one-tap kernel copies each row exactly.
-    kernel = np.ones(1)
-    if resolution_fwhm_pm > 0.0:
-        kernel = gaussian_kernel(
-            step_nm, resolution_fwhm_pm * 1e-3, max_halfwidth=(idler_axis.size - 1) // 2
-        )
+    # With no blur, or one far below a step, the one-tap kernel copies each row exactly.
+    kernel = gaussian_kernel(
+        step_nm, resolution_fwhm_pm * 1e-3, max_halfwidth=(idler_axis.size - 1) // 2
+    )
     for rows, mean in _cell_mean_blocks(
         (omega_s - sum_offset)[:, None],
         edges[1:],

@@ -61,8 +61,8 @@ class LossBudget:
     Parameters
     ----------
     elements : tuple of LossElement
-        Components in the order light meets them, starting at the
-        amplifier output and ending at the amplifier input.
+        At least one component, in the order light meets them, starting at
+        the amplifier output and ending at the amplifier input.
     ring_insertion_db : float
         On-resonance add-to-drop insertion loss of the ring, kept as a
         separate calibration term rather than a ledger element.
@@ -80,8 +80,6 @@ class LossBudget:
     tap_index: int
 
     def __post_init__(self) -> None:
-        if len(self.elements) == 0:
-            raise ValueError("loss budget needs at least one element")
         if not 0.0 <= self.ring_insertion_db < math.inf:
             raise ValueError(
                 f"ring_insertion_db must be finite and >= 0, got {self.ring_insertion_db}"

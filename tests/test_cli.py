@@ -22,7 +22,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import comment_lines, edited_config
+from conftest import DELETE, comment_lines, edited_config
 
 import loopfwm
 from loopfwm.cli import main
@@ -43,6 +43,14 @@ SMALL_JSD = (
     (("jsd", "idler_step_pm"), 20.0),
 )
 COARSE_JSD = ((("jsd", "signal_step_pm"), 100.0), (("jsd", "idler_step_pm"), 100.0))
+
+
+def coupling_amplitudes(through: float, drop: float, loss: float) -> tuple:
+    """Edits that set the ring's coupling by its amplitudes, not by Q and extinction."""
+    keys = ("quality_factor", "extinction", "through_amplitude", "drop_amplitude",
+            "loss_amplitude")
+    values = (DELETE, DELETE, through, drop, loss)
+    return tuple((("ring", "coupling", key), value) for key, value in zip(keys, values))
 
 
 @pytest.fixture
@@ -405,6 +413,51 @@ class TestJsd:
         assert f"resolution of {named} FWHM" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    def test_blur_far_below_a_step_is_no_blur(self, tmp_path):
+        # 5e-324 pm is 0 nm: the one-tap kernel, as for no blur at all.
+        runs = {}
+        for resolution in (5e-324, 0):
+            path = tmp_path / f"blur_{resolution}.yaml"
+            path.write_text(
+                edited_config(*COARSE_JSD, (("instrument", "jsd_resolution_pm"), resolution)),
+                encoding="utf-8",
+            )
+            out = tmp_path / f"run_{resolution}"
+            assert main(["jsd", "--config", str(path), "--out", str(out)]) == 0
+            runs[resolution] = [
+                [line for line in (out / name).read_text(encoding="utf-8").splitlines()
+                 if not line.startswith("#")]
+                for name in ("jsd_scan.csv", "jsd_report.txt")
+            ]
+        assert runs[5e-324] == runs[0]
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            (((("jsd", "signal_start_nm"), 1570.0), (("jsd", "signal_stop_nm"), 1576.0)),
+             "signal axis [1570.000, 1576.000] nm does not cover the signal resonance "
+             "at 1563.450 nm"),
+            (((("jsd", "signal_start_nm"), 1563.0), (("jsd", "signal_stop_nm"), 1564.0)),
+             "signal axis spans 122.6 GHz, less than four linewidths (280.3 GHz); "
+             "widen the grid"),
+            (coupling_amplitudes(0.5, 0.5, 0.5),
+             "round-trip factor 0.125000 is too small for a resolvable linewidth "
+             "(needs > 0.171573)"),
+            # The loaded width in nm is finite, but c times it is not.
+            ((*coupling_amplitudes(0.91, 0.9538, 0.954), (("ring", "fsr_nm"), DELETE),
+              (("ring", "group_index"), 4.2), (("ring", "radius_um"), 1e-305)),
+             "resonance at 1563.45 nm has no finite linewidth (got inf GHz)"),
+        ],
+        ids=["window-misses-resonance", "window-under-four-linewidths",
+             "roundtrip-factor-too-small", "linewidth-past-float-range"],
+    )
+    def test_unusable_window_or_ring_is_refused(self, tmp_path, capsys, edits, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(edited_config(*edits), encoding="utf-8")
+        assert main(["jsd", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"invalid parameter: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_scan_csv_is_the_long_form_table(self, tmp_path):
         # The grid writer must write what write_table writes for the repeated
         # signal axis, the tiled idler axis and the raveled scan.
@@ -552,6 +605,22 @@ class TestFit:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("wavelength_nm,,drop\n1,2,3\n", "line 1: empty column name in header"),
+            ("wavelength_nm,drop\n1,2,3\n4,5,6\n", "line 2: expected 2 fields, got 3"),
+        ],
+        ids=["empty_column_name", "rows_wider_than_header"],
+    )
+    def test_malformed_table_exit_code(self, tmp_path, capsys, text, message):
+        table = tmp_path / "table.csv"
+        table.write_text(text, encoding="utf-8")
+        code = main(["fit", str(table), "--model", "lorentzian", "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert capsys.readouterr().err == f"csv error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_malformed_row_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("current_mA,drop_power_mw\n90,0.1\nwhat\n", encoding="utf-8")
@@ -576,8 +645,13 @@ class TestFit:
             ["1555.0,0.5", "inf,0.4", "inf,0.3"],
             # A quoted field longer than csv.field_size_limit() reads as inf.
             ["1555.0,0.5", '"' + "1" * 131073 + '",0.4', "1555.2,0.3"],
+            ["1555.0,0.5", "1555.1,nan", "1555.2,0.3"],
+            ["1555.0,0.5", "1555.1,1.5", "1555.2,0.3"],
+            [f"{1555.0 + 0.01 * i!r},{0.9 if i in (10, 30) else 0.1}" for i in range(41)],
+            [f"{1555.0 + 0.01 * i!r},{0.9 if i == 2 else 0.1}" for i in range(5)],
         ],
-        ids=["one_row", "infinite_wavelength", "field_over_csv_limit"],
+        ids=["one_row", "infinite_wavelength", "field_over_csv_limit", "nan_value",
+             "transmission_above_ceiling", "two_lines", "five_samples"],
     )
     def test_unusable_spectrum_exit_code(self, tmp_path, capsys, rows):
         spectrum = tmp_path / "spectrum.csv"
@@ -591,11 +665,22 @@ class TestFit:
         [
             ("# a\n# b\nx,y\n", "file has a header but no data rows"),
             ("# c\n\nx\n1\n2\n", "need at least two columns"),
+            ("x,y\n90,1\n90,1\n90,1\n90,1\n",
+             "x values carry no spread; a line cannot be determined"),
+            # A slope of 1e-309 mW/mA puts the threshold past float range.
+            ("x,y\n" + "".join(f"{1e300 * (1 + 0.1 * k)!r},{1 + 1e-10 * k!r}\n"
+                               for k in range(4)),
+             "fitted value must be finite, got -inf"),
+            # A noisy slope of 1.7e308 mW/mA, whose uncertainty is past float range.
+            ("x,y\n" + "".join(f"{math.ldexp(1 + k / 8, -990)!r},{math.ldexp(p, 35)!r}\n"
+                               for k, p in enumerate((0.6, 1.5, 0.6, 1.5, 0.7, 1.5, 0.7, 1.6))),
+             "uncertainty must be finite and nonnegative, got inf"),
         ],
-        ids=["no_data_rows", "one_column"],
+        ids=["no_data_rows", "one_column", "equal_currents", "threshold_past_float_range",
+             "sigma_past_float_range"],
     )
     def test_unusable_table_exit_code(self, tmp_path, capsys, text, message):
-        # Neither is a malformed line, so the message names none.
+        # No table has a malformed line, so the message names none.
         table = tmp_path / "table.csv"
         table.write_text(text, encoding="utf-8")
         code = main(["fit", str(table), "--model", "lasing", "--out", str(tmp_path / "run")])
@@ -622,6 +707,24 @@ class TestFit:
         bad.write_text("ring: 3\n", encoding="utf-8")
         code = main(["ring-spectrum", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read config file"),
+            ("ring: [1\n", "config is not valid YAML"),
+            ("- 1\n", "config root must be a key-value mapping"),
+        ],
+        ids=["missing_file", "invalid_yaml", "root_not_a_mapping"],
+    )
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bench.yaml"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        argv = ["ring-spectrum", "--config", str(path), "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "run").exists()
 
 
 class TestDeterminism:

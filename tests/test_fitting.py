@@ -307,7 +307,7 @@ class TestLorentzianFit:
     def test_rejects_empty_or_reversed_window(self):
         grid, values = synthetic_lorentzian(3.0, 0.05, 0.57, 0.6, 0.1)
         spectrum = Spectrum(grid, values, "drop")
-        with pytest.raises(ValueError, match="start < stop"):
+        with pytest.raises(ValueError, match="window holds 0 samples"):
             fit_lorentzian(spectrum, (CENTER_NM + 1.0, CENTER_NM - 1.0))
         with pytest.raises(ValueError, match="samples"):
             fit_lorentzian(spectrum, (CENTER_NM + 10.0, CENTER_NM + 11.0))
@@ -319,9 +319,10 @@ class TestLorentzianFit:
         report = fit_lorentzian(
             Spectrum(grid, noisy, "drop"), (CENTER_NM - 3.0, CENTER_NM + 3.0)
         )
-        assert report.sigma("center_nm") > 0.0
-        assert abs(report.value("center_nm") - CENTER_NM) < 5.0 * report.sigma("center_nm")
-        assert abs(report.value("fwhm_nm") - 0.57) < 5.0 * report.sigma("fwhm_nm")
+        center, fwhm = report.parameters["center_nm"], report.parameters["fwhm_nm"]
+        assert center.sigma > 0.0
+        assert abs(center.value - CENTER_NM) < 5.0 * center.sigma
+        assert abs(fwhm.value - 0.57) < 5.0 * fwhm.sigma
 
     def test_point_accounting(self):
         grid, values = synthetic_lorentzian(4.0, 0.05, 0.57, 0.6, 0.1)
@@ -350,7 +351,7 @@ class TestLorentzianFit:
         for grid, values, start in cases:
             report = fit_lorentzian(Spectrum(grid, values, "drop"), (grid[0], grid[-1]))
             ours = np.array([report.value(name) for name in names])
-            sigmas = np.array([report.sigma(name) for name in names])
+            sigmas = np.array([report.parameters[name].sigma for name in names])
             reference = least_squares(
                 lambda p: lorentzian_profile(grid, *p) - values,
                 start,
@@ -437,7 +438,7 @@ class TestLorentzianFit:
         assert report.parameters.keys() == expected.keys()
         for name, (value, sigma) in expected.items():
             assert abs(report.value(name) - value) <= 1e-9 * sigma, name
-            assert report.sigma(name) == pytest.approx(sigma, rel=1e-9), name
+            assert report.parameters[name].sigma == pytest.approx(sigma, rel=1e-9), name
         assert report.residual_rms == pytest.approx(rms, rel=1e-9)
 
     def test_exhausted_budget_raises(self, default_drop, monkeypatch, tmp_path):
@@ -637,7 +638,7 @@ class TestLasingCurveFit:
         currents = np.array([100.0, 110.0, 120.0, 130.0])
         report = fit_lasing_curve(currents, 0.02 * (currents - 90.0))
         assert report.value("threshold_ma") == pytest.approx(90.0, abs=1e-10)
-        assert report.sigma("threshold_ma") < 1e-12
+        assert report.parameters["threshold_ma"].sigma < 1e-12
 
     @pytest.mark.parametrize("exponent", [-990, -3, 3, 990])
     def test_power_scale_is_exact(self, exponent):
@@ -651,10 +652,12 @@ class TestLasingCurveFit:
         )
         for name in ("slope_mw_per_ma", "intercept_mw"):
             assert scaled.value(name) == math.ldexp(base.value(name), exponent)
-            assert scaled.sigma(name) == math.ldexp(base.sigma(name), exponent)
+            assert scaled.parameters[name].sigma == math.ldexp(
+                base.parameters[name].sigma, exponent
+            )
         assert scaled.residual_rms == math.ldexp(base.residual_rms, exponent)
         assert scaled.value("threshold_ma") == base.value("threshold_ma")
-        assert scaled.sigma("threshold_ma") == base.sigma("threshold_ma")
+        assert scaled.parameters["threshold_ma"].sigma == base.parameters["threshold_ma"].sigma
         assert scaled.points_used == base.points_used
 
     def test_peak_power_at_float_max(self):
@@ -681,13 +684,15 @@ class TestLasingCurveFit:
         assert scaled.value("slope_mw_per_ma") == math.ldexp(
             base.value("slope_mw_per_ma"), -exponent
         )
-        assert scaled.sigma("slope_mw_per_ma") == math.ldexp(
-            base.sigma("slope_mw_per_ma"), -exponent
+        assert scaled.parameters["slope_mw_per_ma"].sigma == math.ldexp(
+            base.parameters["slope_mw_per_ma"].sigma, -exponent
         )
         assert scaled.value("threshold_ma") == math.ldexp(base.value("threshold_ma"), exponent)
-        assert scaled.sigma("threshold_ma") == math.ldexp(base.sigma("threshold_ma"), exponent)
+        assert scaled.parameters["threshold_ma"].sigma == math.ldexp(
+            base.parameters["threshold_ma"].sigma, exponent
+        )
         assert scaled.value("intercept_mw") == base.value("intercept_mw")
-        assert scaled.sigma("intercept_mw") == base.sigma("intercept_mw")
+        assert scaled.parameters["intercept_mw"].sigma == base.parameters["intercept_mw"].sigma
         assert scaled.residual_rms == base.residual_rms
         assert scaled.points_used == base.points_used
 
@@ -726,7 +731,8 @@ class TestLasingCurveFit:
         scale = chi2 / (currents.size - 2) / (s0 * sxx - sx * sx)
         g_slope, g_intercept = intercept / slope**2, -1 / slope
         variance = scale * (g_slope**2 * s0 - 2 * g_slope * g_intercept * sx + g_intercept**2 * sxx)
-        assert report.sigma("threshold_ma") == pytest.approx(math.sqrt(variance), rel=1e-12)
+        sigma = report.parameters["threshold_ma"].sigma
+        assert sigma == pytest.approx(math.sqrt(variance), rel=1e-12)
 
     @settings(deadline=None, max_examples=200)
     @given(line=exact_lasing_lines())
@@ -742,5 +748,6 @@ class TestLasingCurveFit:
         currents = np.arange(95.0, 131.0, 2.5)
         powers = 0.02 * (currents - 90.0) + rng.normal(0.0, 0.01, size=currents.size)
         report = fit_lasing_curve(currents, powers)
-        assert report.sigma("threshold_ma") > 0.0
-        assert abs(report.value("threshold_ma") - 90.0) < 5.0 * report.sigma("threshold_ma")
+        threshold = report.parameters["threshold_ma"]
+        assert threshold.sigma > 0.0
+        assert abs(threshold.value - 90.0) < 5.0 * threshold.sigma

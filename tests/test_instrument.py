@@ -127,12 +127,6 @@ class TestKernel:
         with pytest.raises(ValueError, match="than the 0 "):
             gaussian_kernel(0.01, 0.5, max_halfwidth=0)
 
-    def test_rejects_bad_widths(self):
-        with pytest.raises(ValueError, match="fwhm_nm"):
-            gaussian_kernel(0.01, 0.0)
-        with pytest.raises(ValueError, match="step_nm"):
-            gaussian_kernel(-0.01, 0.067)
-
 
 class TestConvolution:
     def periodic_reference(self, values, kernel):
@@ -159,10 +153,6 @@ class TestConvolution:
             kernel = gaussian_kernel(0.01, rng.uniform(0.02, 0.2))
             blurred = convolve_conserving(values, kernel)
             assert blurred.sum() == pytest.approx(values.sum(), rel=1e-12)
-
-    def test_rejects_oversized_kernel(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            convolve_conserving(np.ones(5), np.ones(7) / 7.0)
 
     def test_rejects_even_or_asymmetric_kernel(self):
         with pytest.raises(ValueError, match="odd-length"):

@@ -97,8 +97,6 @@ class TestLineshapes:
     def test_rejects_nonpositive_widths(self):
         with pytest.raises(ValueError, match="pump_linewidth_ghz"):
             two_photon_pump_lineshape(0.0, 0.0)
-        with pytest.raises(ValueError, match="linewidth_ghz"):
-            resonance_lineshape(0.0, -1.0)
 
 
 class TestGridTypes:
@@ -410,19 +408,6 @@ class TestScanSimulation:
         )
         with pytest.raises(ValueError, match="does not cover"):
             scan(off_window)
-
-    def test_rejects_negative_resolution(self):
-        with pytest.raises(ValueError, match="resolution_fwhm_pm"):
-            scan(self.SCAN, resolution_fwhm_pm=-1.0)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="resolution_fwhm_pm"):
-                scan(self.SCAN, resolution_fwhm_pm=bad)
-
-    def test_rejects_nonpositive_or_nonfinite_linewidths(self):
-        for name in ("pump_linewidth_ghz", "signal_linewidth_ghz", "idler_linewidth_ghz"):
-            for bad in (0.0, -1.0, math.nan, math.inf):
-                with pytest.raises(ValueError, match=name):
-                    scan(self.SCAN, **{name: bad})
 
 
 def cell_edges_ghz(axis: SpectralAxis, resonance_nm: float) -> np.ndarray:
@@ -949,10 +934,3 @@ class TestSchmidtPurity:
         narrow = SpectralAxis(start_nm=1554.75, stop_nm=1555.25, step_pm=10.0)
         with pytest.raises(ValueError, match="four"):
             schmidt_purity(SpectralGrid(signal=narrow, idler=narrow), TRIPLET, 3.5, 70.0, 70.0)
-
-    @pytest.mark.parametrize("name", ["pump", "signal", "idler"])
-    def test_rejects_nonpositive_or_nonfinite_linewidths(self, name):
-        for bad in (0.0, -1.0, math.nan, math.inf):
-            widths = {"pump": 0.05, "signal": 70.0, "idler": 70.0, name: bad}
-            with pytest.raises(ValueError, match=f"{name}_linewidth_ghz"):
-                schmidt_purity(CONFIG.jsd_grid, CONFIG.triplet, *widths.values())

@@ -22,6 +22,7 @@ from loopfwm.fitting import fit_lasing_curve
 from loopfwm.laser import (
     DB_PER_NEPER,
     GainModel,
+    LossBudget,
     LossElement,
     output_power_curve,
     saturated_single_pass_gain,
@@ -76,8 +77,8 @@ class TestLossBudget:
         assert BUDGET.amplifier_to_tap_db == pytest.approx(19.5, abs=1e-12)
 
     def test_rejects_bad_layouts(self):
-        with pytest.raises(ValueError, match="at least one element"):
-            replace(BUDGET, elements=())
+        with pytest.raises(ValueError, match="tap_index 0 outside the element chain"):
+            LossBudget((), 2.0, 0, 0)
         with pytest.raises(ValueError, match="loss_db"):
             LossElement("broken", -1.0)
         with pytest.raises(ValueError, match="tap must come after"):
